@@ -28,6 +28,7 @@ from .simulate import (
     SimConfig,
     SimEstimate,
     Worker,
+    apply_knob,
     estimate_success_probability,
     sweep,
 )
@@ -153,14 +154,9 @@ def args_no_divide(args) -> bool:
 def _resolve_job(args) -> tuple[JobSpec, ErrorModel]:
     spec_str = getattr(args, "job", None)
     if spec_str and spec_str.startswith("balanced:"):
-        params = dict(kv.split("=") for kv in spec_str[len("balanced:"):].split(",") if kv)
-        n = int(params.get("n", 20))
-        m = int(params.get("m", 20))
-        k = int(params.get("k", 4))
-        seed = int(params.get("seed", 0))
-        tau = float(params.get("tau", 0.25))
-        rng = np.random.default_rng(seed)
-        spec = balanced_job(n, m, k, rng.uniform(size=n), rng.uniform(size=n), tau)
+        b = _parse_balanced(spec_str[len("balanced:"):])
+        rng = np.random.default_rng(b["seed"])
+        spec = balanced_job(b["n"], b["m"], b["k"], rng.uniform(size=b["n"]), rng.uniform(size=b["n"]), b["tau"])
         model = ErrorModel()
     elif spec_str:
         spec = dataio.load_job_spec(spec_str, psi=args.psi, divide=not args_no_divide(args))
@@ -175,6 +171,20 @@ def _resolve_job(args) -> tuple[JobSpec, ErrorModel]:
             h=args.h_agg or model.h, g=args.g_agg or model.g, f=args.f_agg or model.f
         )
     return spec, model
+
+
+def _parse_balanced(text: str) -> dict:
+    """n, m, k, seed and tau from 'n=..,m=..,k=..,seed=..,tau=..'; unset keys keep their defaults."""
+    params = {"n": 20, "m": 20, "k": 4, "seed": 0, "tau": 0.25}
+    for kv in filter(None, text.split(",")):
+        key, _, value = kv.partition("=")
+        try:
+            params[key] = type(params[key])(value)
+        except (KeyError, ValueError):
+            raise ParameterError(f"balanced job entries must be k=v with k in {sorted(params)}, got {kv!r}") from None
+    if params["n"] < 1 or params["m"] < 1 or params["seed"] < 0:
+        raise ParameterError(f"balanced job needs n, m >= 1 and seed >= 0, got {text!r}")
+    return params
 
 
 def _fixture_model(args) -> ErrorModel:
@@ -276,7 +286,7 @@ def _cmd_sweep(args, argv) -> None:
         grid2 = _grid(args.grid2)
         values = []
         for v1 in grid:
-            w1 = worker if args.param == "tau" else _apply(worker, args.param, v1)
+            w1 = worker if args.param == "tau" else apply_knob(worker, args.param, v1)
             tau1 = v1 if args.param == "tau" else None
             pts = sweep(w1, spec, model, args.param2, grid2, config, crn=args.crn, tau=tau1)
             values.extend(pt.estimate.value for pt in pts)
@@ -298,12 +308,6 @@ def _cmd_sweep(args, argv) -> None:
         _write_outputs(args, argv, {"": _report_text(doc)})
     else:
         _write_outputs(args, argv, {"": _sweep_csv(points)})
-
-
-def _apply(worker, param, value):
-    from .simulate import apply_knob
-
-    return apply_knob(worker, param, value)
 
 
 def _cmd_phase(args, argv) -> None:
@@ -345,13 +349,10 @@ def _cmd_merge(args, argv) -> None:
 
 def _cmd_compress(args, argv) -> None:
     spec, model = _resolve_job(args)
-    decision = linear_profile(dataio.HUMAN_SLOPE, dataio.truncnorm_var(dataio.HUMAN_VARIANCE / 2))
-    low = Worker(decision, linear_profile(args.a_low, dataio.truncnorm_var(dataio.HUMAN_VARIANCE / 2)))
-    high = Worker(decision, linear_profile(args.a_high, dataio.truncnorm_var(dataio.HUMAN_VARIANCE / 2)))
-    ai = Worker(
-        linear_profile(args.ai_a, dataio.truncnorm_var(dataio.AI_VARIANCE / 2)),
-        constant_profile(args.ai_c, dataio.truncnorm_var(dataio.AI_VARIANCE / 2)),
-    )
+    human = dataio.named_worker("human")
+    low, high = apply_knob(human, "a2", args.a_low), apply_knob(human, "a2", args.a_high)
+    ai_noise = dataio.truncnorm_var(dataio.AI_VARIANCE / 2)
+    ai = Worker(linear_profile(args.ai_a, ai_noise), constant_profile(args.ai_c, ai_noise))
     report = theory.compression_bound(low, high, ai, spec, model, args.theta, config=_config(args))
     print(f"PC = {report.pc:.4f} (P1={report.p1.value:.3f}, P2={report.p2.value:.3f}, "
           f"P1'={report.p1_merged.value:.3f}, P2'={report.p2_merged.value:.3f})")
@@ -362,14 +363,7 @@ def _cmd_bias(args, argv) -> None:
     spec, model = _resolve_job(args)
     config = SimConfig(trials=args.curve_trials, seed=args.seed)
     grid = _grid(args.curve_grid)
-    worker = dataio.named_worker("human")
-
-    def factory(a):
-        return Worker(
-            linear_profile(a, dataio.truncnorm_var(dataio.HUMAN_VARIANCE / 2)), worker.alpha2
-        )
-
-    points = sweep(factory, spec, model, "a1", grid, config, crn=True)
+    points = sweep(dataio.named_worker("human"), spec, model, "a1", grid, config, crn=True)
     curve_p = [pt.estimate.value for pt in points]
     rates = {}
     for beta in args.beta:

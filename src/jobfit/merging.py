@@ -16,7 +16,7 @@ from . import ability
 from .ability import AbilityProfile, mean_ability, piecewise_profile, select_profile
 from .errors import ParameterError
 from .job import ErrorModel, JobSpec
-from .simulate import SimConfig, SimEstimate, Worker, estimate_success_probability
+from .simulate import SimConfig, SimEstimate, Worker, estimate_many
 
 UNIFORM_STRATEGY = "uniform"
 PER_SUBSKILL = "per_subskill"
@@ -155,13 +155,11 @@ def evaluate_merge_gain(
         raise ParameterError("need at least one candidate worker")
     if not base:
         raise ParameterError("need at least one base worker")
-    config = config or SimConfig()
     overlap = set(base) & set(candidates)
     if overlap:
         raise ParameterError(f"names appear in both base and candidates: {sorted(overlap)}")
-    table = {}
-    for name, worker in {**base, **candidates}.items():
-        table[name] = estimate_success_probability(worker, spec, model, config, tau=tau)
+    workers = {**base, **candidates}
+    table = dict(zip(workers, estimate_many(list(workers.values()), spec, model, config, [tau])))
     best_candidate = max(table[name].value for name in candidates)
     best_base = max(table[name].value for name in base)
     return MergeGainResult(table, best_candidate - best_base)

@@ -11,6 +11,7 @@ random numbers) no matter which worker parameters they map them through.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,6 +58,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise ParameterError(f"ci_level must lie in (0,1), got {self.ci_level}")
 
@@ -71,7 +74,8 @@ class SimEstimate:
 
     def __post_init__(self) -> None:
         lo, hi = self.ci
-        assert self.stderr >= 0.0 and lo <= self.value <= hi
+        if not (self.stderr >= 0.0 and lo <= self.value <= hi):
+            raise ParameterError(f"estimate {self.value} outside its CI {self.ci} or stderr {self.stderr} < 0")
 
 
 def _chunk_streams(trials: int):
@@ -84,46 +88,61 @@ def _chunk_streams(trials: int):
         idx += 1
 
 
-def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int):
-    """Fixed-layout uniforms for one chunk: (u, beta, selector)."""
+def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *, need_sel: bool = True):
+    """Fixed-layout uniforms for one chunk: (u, beta, selector).  The selector
+    is drawn last, so skipping it leaves ``u`` and ``beta`` unchanged."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, tag, chunk]))
     u = rng.uniform(size=(count, n, 2))
     beta = rng.uniform(size=count)
-    sel = rng.uniform(size=(count, n, 2))
+    sel = rng.uniform(size=(count, n, 2)) if need_sel else None
     return u, beta, sel
 
 
-def _zeta_from_uniforms(worker: Worker, spec: JobSpec, u, beta, sel) -> np.ndarray:
-    """Map uniform variates to an error-matrix batch (count, n, 2)."""
-    count = u.shape[0]
-    x = np.empty_like(u)
-    for level, s in ((1, spec.s1), (2, spec.s2)):
-        prof = worker.profile(level)
-        col = level - 1
-        x[:, :, col] = quantile(prof, s[None, :], u[:, :, col])
-        if worker.p > 0.0:
-            dep = quantile(prof, s[None, :], beta[:, None])
-            pick = sel[:, :, col] < worker.p
-            x[:, :, col] = np.where(pick, dep, x[:, :, col])
+def _level_errors(profile: AbilityProfile, s: np.ndarray, p: float, col: int, u, beta, sel) -> np.ndarray:
+    """Errors 1 - X (count, n) of level ``col + 1`` from a chunk's uniforms."""
+    x = quantile(profile, s[None, :], u[:, :, col])
+    if p > 0.0:
+        dep = quantile(profile, s[None, :], beta[:, None])
+        x = np.where(sel[:, :, col] < p, dep, x)
     return 1.0 - x
 
 
 def draw_error_matrix(worker: Worker, spec: JobSpec, rng: np.random.Generator) -> np.ndarray:
     """One job realisation (n, 2): shared status drawn once, then per-subskill
     mixing between the status quantile and an independent draw."""
-    n = spec.n
-    u = rng.uniform(size=(1, n, 2))
-    beta = rng.uniform(size=1)
-    sel = rng.uniform(size=(1, n, 2))
-    return _zeta_from_uniforms(worker, spec, u, beta, sel)[0]
+    u, beta, sel = rng.uniform(size=(1, spec.n, 2)), rng.uniform(size=1), rng.uniform(size=(1, spec.n, 2))
+    return np.stack([_level_errors(prof, s, worker.p, col, u, beta, sel)[0] for col, (prof, s)
+                     in enumerate(((worker.alpha1, spec.s1), (worker.alpha2, spec.s2)))], axis=-1)
 
 
-def _iter_error_samples(worker: Worker, spec: JobSpec, model: ErrorModel,
-                        trials: int, seed: int, tag: int = 0):
+def _shared_draw_errors(workers: list[Worker], spec: JobSpec, model: ErrorModel,
+                        trials: int, seed: int, tag: int):
+    """Yield ``(i, job errors)`` per chunk for every worker i, all workers on
+    the chunk's one draw.  A level column that several workers share (same
+    level, profile and p) is computed once per chunk and kept only until
+    its last use; every array of a chunk is released before the next draw."""
     evaluate = make_error_evaluator(spec, model)
+    uses = Counter((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
+    need_sel = any(w.p > 0.0 for w in workers)
     for chunk, count in _chunk_streams(trials):
-        u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n)
-        yield evaluate(_zeta_from_uniforms(worker, spec, u, beta, sel))
+        u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel)
+        left, memo = Counter(uses), {}
+        for i, w in enumerate(workers):
+            zeta = np.empty((count, spec.n, 2))
+            for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
+                key = (col, prof, w.p)
+                errs = memo.pop(key, None)
+                if errs is None:
+                    errs = _level_errors(prof, s, w.p, col, u, beta, sel)
+                left[key] -= 1
+                if left[key]:
+                    memo[key] = errs
+                zeta[:, :, col] = errs
+                del errs
+            err = evaluate(zeta)
+            del zeta
+            yield i, err
+        del u, beta, sel
 
 
 def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) -> SimEstimate:
@@ -132,6 +151,28 @@ def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) 
     z = float(ndtri(0.5 + ci_level / 2.0))
     ci = (max(0.0, p - z * stderr), min(1.0, p + z * stderr))
     return SimEstimate(p, stderr, ci, trials, seed)
+
+
+def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig | None = None,
+                  taus=None, _tag: int = 0) -> list[SimEstimate]:
+    """P for every (worker, tau) pair, worker-major, all on the same draws.
+
+    Each chunk is drawn once per call; equal workers are evaluated once
+    and one error vector is counted against every tau (None means the
+    job's own tau).  Each estimate equals a call with that worker and tau
+    alone, bit for bit.
+    """
+    config = config or SimConfig()
+    workers = list(workers)
+    taus = [spec.tau if t is None else float(t) for t in ([None] if taus is None else taus)]
+    distinct = list(dict.fromkeys(workers))
+    if not distinct:
+        raise ParameterError("need at least one worker")
+    successes = [[0] * len(taus) for _ in distinct]
+    for i, err in _shared_draw_errors(distinct, spec, model, config.trials, config.seed, _tag):
+        successes[i] = [k + int((err <= tau).sum()) for k, tau in zip(successes[i], taus)]
+    row_of = dict(zip(distinct, successes))
+    return [_binomial_estimate(k, config.trials, config.seed, config.ci_level) for w in workers for k in row_of[w]]
 
 
 def estimate_success_probability(
@@ -143,12 +184,7 @@ def estimate_success_probability(
     _tag: int = 0,
 ) -> SimEstimate:
     """Fraction of trials with job error <= tau, with binomial stderr/CI."""
-    config = config or SimConfig()
-    tau = spec.tau if tau is None else float(tau)
-    successes = 0
-    for err in _iter_error_samples(worker, spec, model, config.trials, config.seed, _tag):
-        successes += int((err <= tau).sum())
-    return _binomial_estimate(successes, config.trials, config.seed, config.ci_level)
+    return estimate_many([worker], spec, model, config, [tau], _tag)[0]
 
 
 def exact_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel) -> float | None:
@@ -192,7 +228,7 @@ def estimate_err_avg(
     config = config or SimConfig()
     total = 0.0
     total_sq = 0.0
-    for err in _iter_error_samples(worker, spec, model, config.trials, config.seed, _tag):
+    for _, err in _shared_draw_errors([worker], spec, model, config.trials, config.seed, _tag):
         total += float(err.sum())
         total_sq += float((err**2).sum())
     nt = config.trials
@@ -223,30 +259,23 @@ def _set_sigma(profile: AbilityProfile, value: float) -> AbilityProfile:
     return replace(profile, noise=NoiseModel(profile.noise.kind, float(value)))
 
 
+_KNOB_FAMILIES = {"a": ability.LINEAR, "c": ability.CONSTANT, "beta": ability.POLYNOMIAL}
+
+
 def apply_knob(worker: Worker, name: str, value: float) -> Worker:
     """Return a copy of the worker with one named parameter replaced."""
-    if name == "a1":
-        return replace(worker, alpha1=_set_family_param(worker.alpha1, value, ability.LINEAR))
-    if name == "a2":
-        return replace(worker, alpha2=_set_family_param(worker.alpha2, value, ability.LINEAR))
-    if name == "c1":
-        return replace(worker, alpha1=_set_family_param(worker.alpha1, value, ability.CONSTANT))
-    if name == "c2":
-        return replace(worker, alpha2=_set_family_param(worker.alpha2, value, ability.CONSTANT))
-    if name == "beta1":
-        return replace(worker, alpha1=_set_family_param(worker.alpha1, value, ability.POLYNOMIAL))
-    if name == "beta2":
-        return replace(worker, alpha2=_set_family_param(worker.alpha2, value, ability.POLYNOMIAL))
+    if name == "p":
+        return replace(worker, p=float(value))
     if name == "sigma":
         return replace(worker, alpha1=_set_sigma(worker.alpha1, value),
                        alpha2=_set_sigma(worker.alpha2, value))
-    if name == "sigma1":
-        return replace(worker, alpha1=_set_sigma(worker.alpha1, value))
-    if name == "sigma2":
-        return replace(worker, alpha2=_set_sigma(worker.alpha2, value))
-    if name == "p":
-        return replace(worker, p=float(value))
-    raise ParameterError(f"unknown parameter knob {name!r} (choose from {KNOBS})")
+    stem, level = name[:-1], name[-1:]
+    if level not in ("1", "2") or (stem != "sigma" and stem not in _KNOB_FAMILIES):
+        raise ParameterError(f"unknown parameter knob {name!r} (choose from {KNOBS})")
+    attr = f"alpha{level}"
+    prof = getattr(worker, attr)
+    new = _set_sigma(prof, value) if stem == "sigma" else _set_family_param(prof, value, _KNOB_FAMILIES[stem])
+    return replace(worker, **{attr: new})
 
 
 def _worker_factory(worker_or_factory, param: str):
@@ -283,24 +312,20 @@ def sweep(
     grid = [float(v) for v in grid]
     if not grid:
         raise ParameterError("sweep grid must be nonempty")
-    config = config or SimConfig()
     if param == "tau":
         if callable(worker):
             raise ParameterError("tau sweep requires a concrete worker")
-        points = []
-        for i, t in enumerate(grid):
-            tag = 0 if crn else 1 + i
-            points.append(SweepPoint("tau", t, estimate_success_probability(
-                worker, spec, model, config, tau=t, _tag=tag)))
-        return points
-    factory = _worker_factory(worker, param)
-    points = []
-    for i, value in enumerate(grid):
-        tag = 0 if crn else 1 + i
-        est = estimate_success_probability(factory(value), spec, model, config,
-                                           tau=tau, _tag=tag)
-        points.append(SweepPoint(param, value, est))
-    return points
+        cases = [(worker, t) for t in grid]
+    else:
+        factory = _worker_factory(worker, param)
+        cases = [(factory(value), tau) for value in grid]
+    if not crn:
+        ests = [estimate_many([w], spec, model, config, [t], 1 + i)[0] for i, (w, t) in enumerate(cases)]
+    elif param == "tau":
+        ests = estimate_many([worker], spec, model, config, grid)
+    else:
+        ests = estimate_many([w for w, _ in cases], spec, model, config, [tau])
+    return [SweepPoint(param, value, est) for value, est in zip(grid, ests)]
 
 
 def finite_diff_derivative(
@@ -317,9 +342,7 @@ def finite_diff_derivative(
     if step <= 0.0:
         raise ParameterError(f"step must be > 0, got {step}")
     factory = _worker_factory(worker, param)
-    config = config or SimConfig()
-    hi = estimate_success_probability(factory(at + step), spec, model, config, tau=tau)
-    lo = estimate_success_probability(factory(at - step), spec, model, config, tau=tau)
+    hi, lo = estimate_many([factory(at + step), factory(at - step)], spec, model, config, [tau])
     return abs(hi.value - lo.value) / (2.0 * step)
 
 

@@ -35,7 +35,7 @@ from .simulate import (
     Worker,
     apply_knob,
     estimate_err_avg,
-    estimate_success_probability,
+    estimate_many,
     exact_err_avg,
 )
 
@@ -251,8 +251,8 @@ def verify_phase_transition(
     lo_b, hi_b = _PARAM_BRACKET[profile.family]
     at_low = max(lo_b, mu_c - gamma) if math.isfinite(gamma) else lo_b
     at_high = min(hi_b, mu_c + gamma) if math.isfinite(gamma) else hi_b
-    p_low = estimate_success_probability(apply_knob(worker, vary, at_low), spec, model, config, tau=tau)
-    p_high = estimate_success_probability(apply_knob(worker, vary, at_high), spec, model, config, tau=tau)
+    p_low, p_high = estimate_many([apply_knob(worker, vary, at_low), apply_knob(worker, vary, at_high)],
+                                  spec, model, config, [tau])
     verified = (p_low.value <= theta + 3.0 * p_low.stderr) and (
         p_high.value >= 1.0 - theta - 3.0 * p_high.stderr
     )
@@ -301,45 +301,28 @@ def merging_condition(
             )
     knob = level_knob(worker1.alpha1, 1)
     L = lipschitz_bound(spec, model)
-    min_der = {}
-    gammas = {}
-    for tag, w in (("1", worker1), ("2", worker2)):
-        md = min_derivative(spec, model, w.alpha1.family, 1)
-        disp = dispersion(w.alpha1.noise, worker2.alpha2.noise, spec.n, convention)
-        min_der[tag] = md
-        gammas[tag] = transition_width(L, disp, min_der[tag], theta)
+    gammas = {tag: transition_width(L, dispersion(w.alpha1.noise, worker2.alpha2.noise, spec.n, convention),
+                                    min_derivative(spec, model, w.alpha1.family, 1), theta)
+              for tag, w in (("1", worker1), ("2", worker2))}
     err_avg = _err_avg_fn(spec, model, config)
     mu1_1 = family_param(worker1.alpha1)
     mu1_2 = family_param(worker2.alpha1)
     lo_b, hi_b = _PARAM_BRACKET[worker1.alpha1.family]
-    left_w = Worker(_with_param(worker1.alpha1, max(lo_b, mu1_1 - gammas["1"])), worker2.alpha2)
-    right_w = Worker(_with_param(worker2.alpha1, min(hi_b, mu1_2 + gammas["2"])), worker2.alpha2)
+    left_w = apply_knob(Worker(worker1.alpha1, worker2.alpha2), knob, max(lo_b, mu1_1 - gammas["1"]))
+    right_w = apply_knob(Worker(worker2.alpha1, worker2.alpha2), knob, min(hi_b, mu1_2 + gammas["2"]))
     err_left = err_avg(left_w)
     err_right = err_avg(right_w)
     holds = err_left <= tau <= err_right and all(math.isfinite(g) for g in gammas.values())
 
-    estimates = {}
-    for name, w in (
-        ("p1", worker1),
-        ("p2", worker2),
-        ("p12", merging.merge_uniform(worker1, worker2, ("A", "B"))),
-        ("p21", merging.merge_uniform(worker1, worker2, ("B", "A"))),
-    ):
-        estimates[name] = estimate_success_probability(w, spec, model, config, tau=tau)
+    workers = (worker1, worker2, merging.merge_uniform(worker1, worker2, ("A", "B")),
+               merging.merge_uniform(worker1, worker2, ("B", "A")))
+    estimates = dict(zip(("p1", "p2", "p12", "p21"), estimate_many(workers, spec, model, config, [tau])))
     delta = max(e.value for e in estimates.values()) - max(estimates["p1"].value, estimates["p2"].value)
     return MergeReport(
         gammas["1"], gammas["2"], err_left, err_right, holds,
         (1.0 - 2.0 * theta) if holds else None, theta,
         estimates["p1"], estimates["p2"], estimates["p12"], estimates["p21"], delta,
     )
-
-
-def _with_param(profile: AbilityProfile, value: float) -> AbilityProfile:
-    from dataclasses import replace
-
-    if profile.family == ability.LINEAR:
-        return replace(profile, params=(float(value), profile.params[1]))
-    return replace(profile, params=(float(value),))
 
 
 @dataclass(frozen=True)
@@ -404,11 +387,13 @@ def compression_bound(
 
         g_low, g_high, g_ai = gamma2(worker_low), gamma2(worker_high), gamma2(worker_ai)
         lo_b, hi_b = _PARAM_BRACKET[worker_low.alpha2.family]
-        left = max(
-            err_avg(Worker(worker_low.alpha1, _with_param(worker_ai.alpha2, max(lo_b, family_param(worker_ai.alpha2) - g_ai)))),
-            err_avg(Worker(worker_low.alpha1, _with_param(worker_high.alpha2, max(lo_b, family_param(worker_high.alpha2) - g_high)))),
-        )
-        right = err_avg(Worker(worker_low.alpha1, _with_param(worker_low.alpha2, min(hi_b, family_param(worker_low.alpha2) + g_low))))
+
+        def err_at(w: Worker, value: float) -> float:
+            return err_avg(apply_knob(Worker(worker_low.alpha1, w.alpha2), level_knob(w.alpha2, 2), value))
+
+        left = max(err_at(worker_ai, max(lo_b, family_param(worker_ai.alpha2) - g_ai)),
+                   err_at(worker_high, max(lo_b, family_param(worker_high.alpha2) - g_high)))
+        right = err_at(worker_low, min(hi_b, family_param(worker_low.alpha2) + g_low))
         holds = left <= tau <= right and all(map(math.isfinite, (g_low, g_high, g_ai)))
         guaranteed = (1.0 - 2.0 * theta) if holds else None
     elif not same_action_family:
@@ -416,10 +401,8 @@ def compression_bound(
 
     merged_low, _ = merging.merge_per_subskill(worker_low, worker_ai, spec)
     merged_high, _ = merging.merge_per_subskill(worker_high, worker_ai, spec)
-    p1 = estimate_success_probability(worker_low, spec, model, config, tau=tau)
-    p2 = estimate_success_probability(worker_high, spec, model, config, tau=tau)
-    p1m = estimate_success_probability(merged_low, spec, model, config, tau=tau)
-    p2m = estimate_success_probability(merged_high, spec, model, config, tau=tau)
+    p1, p2, p1m, p2m = estimate_many([worker_low, worker_high, merged_low, merged_high],
+                                     spec, model, config, [tau])
     pc = abs(p2.value - p1.value) - abs(p2m.value - p1m.value)
     return CompressionReport(p1, p2, p1m, p2m, pc, holds, guaranteed, theta, tuple(notes))
 

@@ -38,6 +38,14 @@ def test_validation_exit_code(capsys):
     assert code == 2
 
 
+def test_bad_seed_and_balanced_descriptor_exit_2(capsys):
+    code, _, err = run(capsys, "estimate", "--seed", "-1", "--trials", "10")
+    assert code == 2 and "seed" in err
+    for job in ("balanced:n=5,m", "balanced:n=five", "balanced:q=1", "balanced:n=5,seed=-3"):
+        code, _, err = run(capsys, "estimate", "--job", job, "--trials", "10")
+        assert code == 2 and "balanced" in err, job
+
+
 def test_numerical_exit_code(capsys):
     # tau far above anything attainable: no root for the critical ability
     code, _, err = run(capsys, "phase", "--job", "balanced:n=6,m=6,k=2,seed=1,tau=0.99",

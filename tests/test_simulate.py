@@ -10,15 +10,21 @@ from jobfit.ability import (
     truncnorm_var,
     uniform_noise,
 )
+from jobfit.dataio import load_fixture_job, named_worker
 from jobfit.errors import CapacityError, ParameterError
-from jobfit.job import ErrorModel, JobSpec, balanced_job
+from jobfit.job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job
+from jobfit.merging import merge_with_trust
 from jobfit.simulate import (
+    CHUNK_TRIALS,
     SimConfig,
+    SimEstimate,
     Worker,
+    _chunk_uniforms,
     apply_knob,
     brute_force_success_probability,
     draw_error_matrix,
     estimate_err_avg,
+    estimate_many,
     estimate_success_probability,
     exact_err_avg,
     finite_diff_derivative,
@@ -247,3 +253,60 @@ def test_brute_force_capacity_and_p_checks():
         brute_force_success_probability(linear_worker(0.5, 0.5, 0.3), spec, AVG, 10)
     with pytest.raises(ParameterError):
         brute_force_success_probability(linear_worker(0.5, 0.5, 0.3, p=0.5), tiny_spec(2), AVG, 10)
+
+
+def test_estimate_invariants_survive_optimisation():
+    with pytest.raises(ParameterError):
+        SimEstimate(0.5, 0.01, (0.6, 0.7), 10, 0)
+    with pytest.raises(ParameterError):
+        SimEstimate(0.5, -0.01, (0.4, 0.6), 10, 0)
+    with pytest.raises(ParameterError):
+        SimConfig(seed=-1)
+
+
+def _many_case():
+    spec = JobSpec([0.1, 0.5, 0.9], [0.2, 0.6, 0.8], ((0, 1), (1, 2)), np.ones(3), np.ones(2), 0.45)
+    human = linear_worker(0.2, 0.3, 0.3, kind="trunc")
+    helper = Worker(constant_profile(0.6, truncnorm_var(0.02)), constant_profile(0.7, truncnorm_var(0.02)))
+    merged, _ = merge_with_trust(human, helper, spec, 1.2)
+    assert {merged.alpha1.family, merged.alpha2.family} == {"select"}
+    workers = [human, apply_knob(human, "p", 0.4), human, merged, apply_knob(human, "a1", 0.6),
+               apply_knob(merged, "p", 0.7), helper, linear_worker(0.3, 0.3, 0.2)]
+    return spec, workers
+
+
+@pytest.mark.parametrize("trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 1])
+def test_estimate_many_equals_each_worker_alone(trials):
+    spec, workers = _many_case()
+    config = SimConfig(trials=trials, seed=31)
+    taus = [0.3, None, 0.5]
+    many = estimate_many(workers, spec, AVG, config, taus)
+    assert len(many) == len(workers) * len(taus)
+    for i, w in enumerate(workers):
+        for j, tau in enumerate(taus):
+            alone = estimate_success_probability(w, spec, AVG, config, tau=tau)
+            assert many[i * len(taus) + j] == alone == estimate_many([w], spec, AVG, config, [tau])[0]
+
+
+def test_selector_skip_keeps_earlier_variates():
+    u, beta, sel = _chunk_uniforms(5, 2, 1, 1000, 4)
+    u0, beta0, sel0 = _chunk_uniforms(5, 2, 1, 1000, 4, need_sel=False)
+    assert sel0 is None and sel.shape == u.shape
+    assert np.array_equal(u, u0) and np.array_equal(beta, beta0)
+
+
+def test_shared_path_golden_values():
+    # Recorded bit for bit before estimates moved onto shared draws.
+    spec = load_fixture_job()
+    est = estimate_success_probability(named_worker("human", p=0.3), spec, FIXTURE_MODEL,
+                                       SimConfig(trials=CHUNK_TRIALS + 4_464, seed=2024))
+    assert [est.value.hex(), est.stderr.hex(), est.ci[0].hex(), est.ci[1].hex()] == [
+        "0x1.0f52cc3700e0bp-1", "0x1.ee846e5b37153p-10", "0x1.0d6e2dfdfb2a9p-1", "0x1.11376a700696dp-1"]
+    pts = sweep(named_worker("human"), spec, FIXTURE_MODEL, "a1", [0.0, 0.25, 0.5, 0.75, 1.0],
+                SimConfig(trials=20_000, seed=7))
+    assert [p.estimate.value.hex() for p in pts] == [
+        "0x1.7b15b573eab36p-4", "0x1.3886594af4f0ep-1", "0x1.ee83e425aee63p-1",
+        "0x1.ffcb923a29c78p-1", "0x1.0000000000000p+0"]
+    assert [p.estimate.stderr.hex() for p in pts] == [
+        "0x1.0c97c6d797ed2p-9", "0x1.c3f8de26036fep-9", "0x1.50a5b4aaddc1fp-10",
+        "0x1.2885d3734ce15p-13", "0x0.0p+0"]
