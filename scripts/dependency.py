@@ -8,15 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
-from jobfit.ability import linear_profile, truncnorm_var
-from jobfit.dataio import load_fixture_job
+from jobfit.dataio import load_fixture_job, named_worker
 from jobfit.job import FIXTURE_MODEL
-from jobfit.simulate import SimConfig, Worker, sweep
+from jobfit.simulate import SimConfig, Worker, apply_knob, sweep
 
 
 def worker(a: float, p: float) -> Worker:
-    return Worker(linear_profile(a, truncnorm_var(0.0065)),
-                  linear_profile(0.22, truncnorm_var(0.0065)), p)
+    return apply_knob(named_worker("human", p), "a1", a)
 
 
 def main() -> None:

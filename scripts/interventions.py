@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from jobfit.ability import linear_profile, truncnorm_var
-from jobfit.dataio import load_fixture_job
+from jobfit.dataio import HUMAN_SLOPE, load_fixture_job, named_worker
 from jobfit.job import FIXTURE_MODEL
 from jobfit.simulate import SimConfig, Worker, finite_diff_derivative, sweep
 from jobfit.theory import bias_misclassification_rate
@@ -18,7 +18,7 @@ from jobfit.theory import bias_misclassification_rate
 def worker_at(a: float, sigma: float) -> Worker:
     var = sigma * sigma / 2.0
     return Worker(linear_profile(a, truncnorm_var(var)),
-                  linear_profile(0.22, truncnorm_var(var)))
+                  linear_profile(HUMAN_SLOPE, truncnorm_var(var)))
 
 
 def main() -> None:
@@ -46,8 +46,8 @@ def main() -> None:
     lines = ["sigma,dP_da,dP_dsigma"]
     for sigma in np.linspace(0.02, 0.9, 23):
         da = finite_diff_derivative(lambda x, _s=float(sigma): worker_at(x, _s), spec,
-                                    FIXTURE_MODEL, "a1", 0.22, 0.01, config)
-        ds = finite_diff_derivative(lambda x: worker_at(0.22, x), spec,
+                                    FIXTURE_MODEL, "a1", HUMAN_SLOPE, 0.01, config)
+        ds = finite_diff_derivative(lambda x: worker_at(HUMAN_SLOPE, x), spec,
                                     FIXTURE_MODEL, "sigma", float(sigma), 0.005, config)
         lines.append(f"{sigma},{da},{ds}")
     (outdir / "derivatives_vs_noise.csv").write_text("\n".join(lines) + "\n")
@@ -55,9 +55,7 @@ def main() -> None:
     # bias misclassification curve from the ability-success map
     curve_grid = np.linspace(0.0, 0.6, 121)
     curve_cfg = SimConfig(trials=20_000, seed=args.seed)
-    pts = sweep(lambda a: Worker(linear_profile(a, truncnorm_var(0.0065)),
-                                 linear_profile(0.22, truncnorm_var(0.0065))),
-                spec, FIXTURE_MODEL, "a1", curve_grid, curve_cfg)
+    pts = sweep(named_worker("human"), spec, FIXTURE_MODEL, "a1", curve_grid, curve_cfg)
     curve = [pt.estimate.value for pt in pts]
     lines = ["beta,rate"]
     for beta in np.linspace(0.25, 1.0, 31):

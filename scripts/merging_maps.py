@@ -11,21 +11,17 @@ from pathlib import Path
 import numpy as np
 
 from jobfit.ability import constant_profile, linear_profile, truncnorm_var
-from jobfit.dataio import load_fixture_job
+from jobfit.cli import parse_grid
+from jobfit.dataio import AI_VARIANCE, load_fixture_job, named_worker
 from jobfit.job import FIXTURE_MODEL
 from jobfit.merging import evaluate_merge_gain, merge_per_subskill, merge_with_trust
-from jobfit.simulate import SimConfig, Worker
+from jobfit.simulate import SimConfig, Worker, apply_knob
 from jobfit.theory import compression_bound
 
 
-def human() -> Worker:
-    prof = linear_profile(0.22, truncnorm_var(0.0065))
-    return Worker(prof, prof)
-
-
 def assistant(a: float, c: float) -> Worker:
-    return Worker(linear_profile(a, truncnorm_var(0.0145)),
-                  constant_profile(c, truncnorm_var(0.0145)))
+    return Worker(linear_profile(a, truncnorm_var(AI_VARIANCE / 2)),
+                  constant_profile(c, truncnorm_var(AI_VARIANCE / 2)))
 
 
 def main() -> None:
@@ -41,12 +37,7 @@ def main() -> None:
     config = SimConfig(trials=args.trials, seed=args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    base = human()
-
-    def parse_grid(text):
-        lo, hi, steps = text.split(":")
-        return np.linspace(float(lo), float(hi), int(steps))
-
+    base = named_worker("human")
     lines = ["a,c,p_merge,p1,p2,delta"]
     for a in parse_grid(args.a_grid):
         for c in parse_grid(args.c_grid):
@@ -68,8 +59,7 @@ def main() -> None:
         lines.append(f"{trust},{res.delta},{res.table['merge'].value}")
     (outdir / "trust_slice.csv").write_text("\n".join(lines) + "\n")
 
-    low = Worker(base.alpha1, linear_profile(0.1, truncnorm_var(0.0065)))
-    high = Worker(base.alpha1, linear_profile(0.8, truncnorm_var(0.0065)))
+    low, high = apply_knob(base, "a2", 0.1), apply_knob(base, "a2", 0.8)
     report = compression_bound(low, high, assistant(0.08, 0.8), spec, FIXTURE_MODEL,
                                theta=0.1, config=config)
     (outdir / "compression_point.json").write_text(

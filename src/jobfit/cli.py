@@ -197,7 +197,7 @@ def _config(args) -> SimConfig:
     return SimConfig(trials=args.trials, seed=args.seed)
 
 
-def _grid(text: str) -> list[float]:
+def parse_grid(text: str) -> list[float]:
     try:
         lo, hi, steps = text.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
@@ -278,12 +278,12 @@ def _cmd_estimate(args, argv) -> None:
 def _cmd_sweep(args, argv) -> None:
     spec, model = _resolve_job(args)
     worker = _resolve_worker(args)
-    grid = _grid(args.grid)
+    grid = parse_grid(args.grid)
     config = _config(args)
     if args.param2:
         if not args.grid2:
             raise ParameterError("--param2 requires --grid2")
-        grid2 = _grid(args.grid2)
+        grid2 = parse_grid(args.grid2)
         values = []
         for v1 in grid:
             w1 = worker if args.param == "tau" else apply_knob(worker, args.param, v1)
@@ -319,6 +319,15 @@ def _cmd_phase(args, argv) -> None:
     )
     print(f"critical {args.vary} = {report.mu1_c:.4f}, gamma = {report.gamma1:.4f}, "
           f"verified = {report.verified}")
+    # A clipped side is checked at the bracket end, not at mu_c -+ gamma,
+    # so that side of the check says nothing about the predicted width.
+    low, high = report.mu1_c - report.gamma1, report.mu1_c + report.gamma1
+    if report.at_low > low:
+        print(f"warning: low side of the window clipped: mu_c - gamma = {low:.4f}, checked at "
+              f"the lower bracket end {args.vary} = {report.at_low:.4f}", file=sys.stderr)
+    if report.at_high < high:
+        print(f"warning: high side of the window clipped: mu_c + gamma = {high:.4f}, checked at "
+              f"the upper bracket end {args.vary} = {report.at_high:.4f}", file=sys.stderr)
     _write_outputs(args, argv, {"": _report_text({"kind": "phase", "report": report})})
 
 
@@ -362,7 +371,7 @@ def _cmd_compress(args, argv) -> None:
 def _cmd_bias(args, argv) -> None:
     spec, model = _resolve_job(args)
     config = SimConfig(trials=args.curve_trials, seed=args.seed)
-    grid = _grid(args.curve_grid)
+    grid = parse_grid(args.curve_grid)
     points = sweep(dataio.named_worker("human"), spec, model, "a1", grid, config, crn=True)
     curve_p = [pt.estimate.value for pt in points]
     rates = {}

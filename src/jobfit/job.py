@@ -178,8 +178,10 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
     """Compile (..., n, 2) error matrices -> (...,) job errors.
 
     Linear models reduce to one dot product; max components fall back to
-    explicit h/g/f composition.  Evaluation order is fixed, so results
-    are bit-reproducible.
+    explicit h/g/f composition, with a task-level ``max`` taken skill-major
+    as an elementwise ``max`` over contiguous skill rows.  ``max`` is exact
+    in any order and the weighted sums keep a fixed order, so results are
+    bit-reproducible.
     """
     n = spec.n
     if model.is_linear:
@@ -193,23 +195,35 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
 
     gw = None if model.g == AGG_MAX else _task_weight_matrix(spec, model)
     fv = None if model.f == AGG_MAX else _task_vector(spec, model)
-    task_idx = [np.array(t) for t in spec.tasks]
+    covered = sorted({j for t in spec.tasks for j in t})
 
     def general_eval(zeta: np.ndarray) -> np.ndarray:
         zeta = _check_zeta(zeta, n)
+        z0, z1 = zeta[..., 0], zeta[..., 1]
         if model.h == H_MAX:
-            skill = zeta.max(axis=-1)
+            skill = np.maximum(z0, z1)
         elif model.h == H_SUM:
-            skill = zeta.sum(axis=-1)
+            skill = z0 + z1
         else:
-            skill = zeta.mean(axis=-1)
-        if gw is None:
-            task = np.stack([skill[..., idx].max(axis=-1) for idx in task_idx], axis=-1)
-        else:
+            skill = (z0 + z1) / 2.0
+        if gw is not None:
             task = skill @ gw.T
-        return task.max(axis=-1) if fv is None else task @ fv
+            return task.max(axis=-1) if fv is None else task @ fv
+        rows = np.ascontiguousarray(np.moveaxis(skill, -1, 0))
+        if fv is None:
+            # max over tasks of max over their skills = max over covered skills
+            return _max_of_rows(rows, covered)[()]
+        return np.stack([_max_of_rows(rows, t) for t in spec.tasks], axis=-1) @ fv
 
     return general_eval
+
+
+def _max_of_rows(rows: np.ndarray, idx) -> np.ndarray:
+    """Elementwise max of ``rows[j]`` over j in idx, as a new array."""
+    out = np.array(rows[idx[0]])
+    for j in idx[1:]:
+        np.maximum(out, rows[j], out=out)
+    return out
 
 
 def _check_zeta(zeta: np.ndarray, n: int) -> np.ndarray:

@@ -111,13 +111,23 @@ def test_merge_and_phase_reports(capsys, tmp_path):
     assert doc["plan"]["strategy"] == "per_subskill"
     assert doc["delta"] > 0.2
     out2 = tmp_path / "phase.json"
-    code, stdout, _ = run(capsys, "phase", "--job", "balanced:n=20,m=20,k=4,seed=111225,tau=0.25",
-                          "--a1", "0.6", "--a2", "0.4", "--sigma", "0.1",
-                          "--theta", "0.2", "--trials", "2000", "--out", str(out2))
-    assert code == 0
+    code, stdout, err = run(capsys, "phase", "--job", "balanced:n=20,m=20,k=4,seed=111225,tau=0.25",
+                            "--a1", "0.6", "--a2", "0.4", "--sigma", "0.1",
+                            "--theta", "0.2", "--trials", "2000", "--out", str(out2))
+    assert code == 0 and "clipped" not in err
     doc = json.loads(out2.read_text())
     assert doc["report"]["verified"] is True
     assert doc["report"]["mu1_c"] == pytest.approx(0.5124, abs=1e-3)
+
+
+def test_phase_warns_when_window_is_clipped(capsys):
+    # Fixture human at theta = 0.2: mu_c - gamma < 0, so the low check runs at a1 = 0.
+    code, stdout, err = run(capsys, "phase", "--theta", "0.2", "--trials", "2000")
+    assert code == 0 and "verified = True" in stdout
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: low side of the window clipped: mu_c - gamma = -0.4")
+    assert lines[0].endswith("checked at the lower bracket end a1 = 0.0000")
 
 
 def test_manifest_rerun_reproduces_bytes(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from jobfit.job import (
     ErrorModel,
     FIXTURE_MODEL,
     JobSpec,
+    _task_vector,
+    _task_weight_matrix,
     balanced_job,
     effective_coefficients,
     job_error,
@@ -191,3 +195,52 @@ def test_fixture_model_monotone(n, m, seed):
     hi = zeta.copy()
     hi[j, 1] = min(1.0, hi[j, 1] + 0.25)
     assert evaluate(hi) >= evaluate(zeta) - 1e-12
+
+
+def reference_evaluator(spec, model):
+    """The gather-and-stack evaluator that the skill-major one replaced,
+    kept verbatim as the bit-for-bit reference."""
+    if model.is_linear:
+        coeff = effective_coefficients(spec, model) * model.h_scale
+        return lambda zeta: (zeta[..., 0] + zeta[..., 1]) @ coeff
+    gw = None if model.g == "max" else _task_weight_matrix(spec, model)
+    fv = None if model.f == "max" else _task_vector(spec, model)
+    task_idx = [np.array(t) for t in spec.tasks]
+
+    def general_eval(zeta):
+        if model.h == "max":
+            skill = zeta.max(axis=-1)
+        elif model.h == "sum":
+            skill = zeta.sum(axis=-1)
+        else:
+            skill = zeta.mean(axis=-1)
+        if gw is None:
+            task = np.stack([skill[..., idx].max(axis=-1) for idx in task_idx], axis=-1)
+        else:
+            task = skill @ gw.T
+        return task.max(axis=-1) if fv is None else task @ fv
+
+    return general_eval
+
+
+ALL_MODELS = [ErrorModel(h, g, f) for h, g, f in itertools.product(
+    ("average", "sum", "max"), ("average", "weighted", "max"), ("average", "weighted", "max"))]
+
+
+def test_evaluator_bit_identical_to_reference():
+    rng = np.random.default_rng(11)
+    specs = [random_spec(rng) for _ in range(4)]
+    # a single-skill task beside a wider one, skill 3 in no task
+    specs.append(JobSpec([0.2, 0.4, 0.6, 0.8], [0.3, 0.5, 0.7, 0.9], ((2,), (0, 1, 2)),
+                         [0.3, 0.9, 0.5, 0.7], [0.4, 1.0], 0.5))
+    # a job with one task, skill 1 in no task
+    specs.append(JobSpec([0.1, 0.5, 0.9], [0.2, 0.6, 0.8], ((0, 2),), [0.6, 1.0, 0.8], [0.7], 0.5))
+    assert len(ALL_MODELS) == 27
+    for spec in specs:
+        for model in ALL_MODELS:
+            evaluate, reference = make_error_evaluator(spec, model), reference_evaluator(spec, model)
+            for lead in ((), (7,), (3, 4)):
+                zeta = rng.uniform(size=lead + (spec.n, 2))
+                got, want = evaluate(zeta), reference(zeta)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want) == lead
+                assert np.array_equal(got, want), (spec.tasks, model, lead)

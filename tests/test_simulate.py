@@ -7,6 +7,7 @@ from jobfit.ability import (
     cdf,
     constant_profile,
     linear_profile,
+    survival,
     truncnorm_var,
     uniform_noise,
 )
@@ -32,6 +33,7 @@ from jobfit.simulate import (
 )
 
 AVG = ErrorModel()
+MAX = ErrorModel(h="max", g="max", f="max")
 
 
 def linear_worker(a1, a2, sigma, p=0.0, kind="uniform"):
@@ -310,3 +312,29 @@ def test_shared_path_golden_values():
     assert [p.estimate.stderr.hex() for p in pts] == [
         "0x1.0c97c6d797ed2p-9", "0x1.c3f8de26036fep-9", "0x1.50a5b4aaddc1fp-10",
         "0x1.2885d3734ce15p-13", "0x0.0p+0"]
+
+
+def _max_case():
+    rng = np.random.default_rng(5)
+    spec = balanced_job(32, 128, 6, rng.uniform(size=32), rng.uniform(size=32), 0.39)
+    return spec, linear_worker(0.7, 0.7, 0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_job_against_exact_product(seed):
+    # With h = g = f = max and p = 0 the job succeeds iff every covered
+    # subskill error is <= tau, and those errors are independent.
+    spec, worker = _max_case()
+    assert not spec.isolated_skills()
+    exact = float(np.prod(survival(worker.alpha1, spec.s1, 1.0 - spec.tau))
+                  * np.prod(survival(worker.alpha2, spec.s2, 1.0 - spec.tau)))
+    est = estimate_success_probability(worker, spec, MAX, SimConfig(trials=200_000, seed=seed))
+    assert abs(est.value - exact) <= 4 * est.stderr
+
+
+def test_max_job_golden_values():
+    # Recorded bit for bit before the max evaluator went skill-major.
+    spec, worker = _max_case()
+    est = estimate_success_probability(worker, spec, MAX, SimConfig(trials=CHUNK_TRIALS + 1, seed=17))
+    assert [est.value.hex(), est.stderr.hex(), est.ci[0].hex(), est.ci[1].hex()] == [
+        "0x1.99b2664d99b26p-2", "0x1.f5abe340ff571p-10", "0x1.95db2444c32f4p-2", "0x1.9d89a85670358p-2"]
