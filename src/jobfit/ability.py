@@ -12,7 +12,10 @@ polynomial, piecewise linear) and the spread by one of two noise models:
 All operations are vectorised over difficulties and probability levels;
 sampling is inverse-transform through :func:`quantile`, which makes draws
 reproducible from explicit uniform variates (required for common random
-numbers in the simulator).
+numbers in the simulator).  :func:`quantile` is elementwise in (s, q) and
+fills one fresh output array in place, so a caller that mixes variates
+(the simulator's status coupling) picks the uniform first and pays for
+one transform per draw.
 """
 
 from __future__ import annotations
@@ -180,8 +183,9 @@ def mean_ability(profile: AbilityProfile, s):
 def quantile(profile: AbilityProfile, s, q):
     """Inverse cdf of the ability distribution at difficulty s.
 
-    ``s`` and ``q`` broadcast against each other.  For zero noise the
-    distribution is a point mass at E(s) and every quantile equals it.
+    ``s`` and ``q`` broadcast against each other and are never written to.
+    The result is elementwise in (s, q).  For zero noise the distribution
+    is a point mass at E(s) and every quantile equals it.
     """
     s_arr = np.asarray(s, dtype=float)
     q_arr = np.asarray(q, dtype=float)
@@ -194,17 +198,28 @@ def quantile(profile: AbilityProfile, s, q):
 
     e = np.asarray(mean_ability(profile, s_arr), dtype=float)
     sigma = profile.noise.sigma
+    # One fresh output, transformed in place; each step only swaps the
+    # operands of a commutative op, so the bits equal the textbook formulas
+    # e + half*(2q - 1) and e + sigma*ndtri(pa + q*(pb - pa)).
+    x = np.empty(np.broadcast_shapes(e.shape, q_arr.shape))
     if sigma == 0.0:
-        x = np.broadcast_to(e, np.broadcast_shapes(e.shape, q_arr.shape)).copy()
+        x[...] = e
     elif profile.noise.kind == UNIFORM:
         half = np.minimum(e, 1.0 - e) * sigma
-        x = e + half * (2.0 * q_arr - 1.0)
+        np.multiply(q_arr, 2.0, out=x)
+        x -= 1.0
+        x *= half
+        x += e
     else:
         with np.errstate(over="ignore"):
             pa = ndtr((0.0 - e) / sigma)
             pb = ndtr((1.0 - e) / sigma)
-        x = e + sigma * ndtri(pa + q_arr * (pb - pa))
-    x = np.clip(x, 0.0, 1.0)
+        np.multiply(q_arr, pb - pa, out=x)
+        x += pa
+        ndtri(x, out=x)
+        x *= sigma
+        x += e
+    np.clip(x, 0.0, 1.0, out=x)
     return x if x.shape else float(x)
 
 

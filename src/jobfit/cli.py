@@ -29,6 +29,7 @@ from .simulate import (
     SimEstimate,
     Worker,
     apply_knob,
+    estimate_many,
     estimate_success_probability,
     sweep,
 )
@@ -283,13 +284,10 @@ def _cmd_sweep(args, argv) -> None:
     if args.param2:
         if not args.grid2:
             raise ParameterError("--param2 requires --grid2")
+        if args.param2 == args.param:
+            raise ParameterError(f"--param2 must differ from --param (both are {args.param!r})")
         grid2 = parse_grid(args.grid2)
-        values = []
-        for v1 in grid:
-            w1 = worker if args.param == "tau" else apply_knob(worker, args.param, v1)
-            tau1 = v1 if args.param == "tau" else None
-            pts = sweep(w1, spec, model, args.param2, grid2, config, crn=args.crn, tau=tau1)
-            values.extend(pt.estimate.value for pt in pts)
+        values = _heatmap(worker, spec, model, args.param, grid, args.param2, grid2, config, args.crn)
         doc = {
             "kind": "heatmap", "param1": args.param, "grid1": grid,
             "param2": args.param2, "grid2": grid2, "values": values,
@@ -308,6 +306,34 @@ def _cmd_sweep(args, argv) -> None:
         _write_outputs(args, argv, {"": _report_text(doc)})
     else:
         _write_outputs(args, argv, {"": _sweep_csv(points)})
+
+
+def _heatmap(worker, spec, model, param1, grid1, param2, grid2, config, crn) -> list[float]:
+    """P on the grid1 x grid2 map, row-major.  Under CRN one ``estimate_many``
+    call covers the whole map (the tau axis as its taus), so each chunk is
+    drawn once; without CRN each row is its own ``sweep``."""
+    if not crn:
+        values = []
+        for v1 in grid1:
+            w1 = worker if param1 == "tau" else apply_knob(worker, param1, v1)
+            pts = sweep(w1, spec, model, param2, grid2, config, crn=False, tau=v1 if param1 == "tau" else None)
+            values.extend(pt.estimate.value for pt in pts)
+        return values
+    n1, n2 = len(grid1), len(grid2)
+    if param1 == "tau":
+        ests = estimate_many([apply_knob(worker, param2, v) for v in grid2], spec, model, config, grid1)
+        cells = [(i, j) for j in range(n2) for i in range(n1)]
+    elif param2 == "tau":
+        ests = estimate_many([apply_knob(worker, param1, v) for v in grid1], spec, model, config, grid2)
+        cells = [(i, j) for i in range(n1) for j in range(n2)]
+    else:
+        # The engine keeps a level column that the inner axis shares until
+        # its last use in the chunk, so the shorter axis goes inside.
+        cells = sorted(((i, j) for i in range(n1) for j in range(n2)), key=lambda c: c if n1 >= n2 else c[::-1])
+        ests = estimate_many([apply_knob(apply_knob(worker, param1, grid1[i]), param2, grid2[j])
+                              for i, j in cells], spec, model, config)
+    value = {c: est.value for c, est in zip(cells, ests)}
+    return [value[i, j] for i in range(n1) for j in range(n2)]
 
 
 def _cmd_phase(args, argv) -> None:

@@ -90,26 +90,34 @@ def _chunk_streams(trials: int):
 
 def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *, need_sel: bool = True):
     """Fixed-layout uniforms for one chunk: (u, beta, selector).  The selector
-    is drawn last, so skipping it leaves ``u`` and ``beta`` unchanged."""
+    is drawn last, so skipping it leaves ``u`` and ``beta`` unchanged.
+    ``Generator.random`` consumes the stream as ``uniform(0, 1)`` does and
+    gives the same bits."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, tag, chunk]))
-    u = rng.uniform(size=(count, n, 2))
-    beta = rng.uniform(size=count)
-    sel = rng.uniform(size=(count, n, 2)) if need_sel else None
+    u = rng.random((count, n, 2))
+    beta = rng.random(count)
+    sel = rng.random((count, n, 2)) if need_sel else None
     return u, beta, sel
 
 
 def _level_errors(profile: AbilityProfile, s: np.ndarray, p: float, col: int, u, beta, sel) -> np.ndarray:
-    """Errors 1 - X (count, n) of level ``col + 1`` from a chunk's uniforms."""
-    x = quantile(profile, s[None, :], u[:, :, col])
+    """Errors 1 - X (count, n) of level ``col + 1`` from a chunk's uniforms.
+
+    Status coupling picks the uniform, not the quantile: where sel < p a
+    subskill takes the shared status beta, else its own u, and the pick
+    goes through one inverse transform.  ``quantile`` is elementwise, so
+    this equals transforming both and picking, bit for bit."""
+    q = u[:, :, col]
     if p > 0.0:
-        dep = quantile(profile, s[None, :], beta[:, None])
-        x = np.where(sel[:, :, col] < p, dep, x)
-    return 1.0 - x
+        q = np.where(sel[:, :, col] < p, beta[:, None], q)
+    x = quantile(profile, s[None, :], q)
+    return np.subtract(1.0, x, out=x)
 
 
 def draw_error_matrix(worker: Worker, spec: JobSpec, rng: np.random.Generator) -> np.ndarray:
-    """One job realisation (n, 2): shared status drawn once, then per-subskill
-    mixing between the status quantile and an independent draw."""
+    """One job realisation (n, 2): shared status drawn once, then per
+    subskill the uniform is mixed between the status and an independent
+    variate before one inverse transform."""
     u, beta, sel = rng.uniform(size=(1, spec.n, 2)), rng.uniform(size=1), rng.uniform(size=(1, spec.n, 2))
     return np.stack([_level_errors(prof, s, worker.p, col, u, beta, sel)[0] for col, (prof, s)
                      in enumerate(((worker.alpha1, spec.s1), (worker.alpha2, spec.s2)))], axis=-1)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from jobfit.ability import (
+    SELECT,
+    UNIFORM,
     AbilityProfile,
     NoiseModel,
     cdf,
@@ -25,6 +28,7 @@ from jobfit.ability import (
     truncnorm_noise,
     truncnorm_var,
     uniform_noise,
+    _select_mask,
 )
 from jobfit.errors import DegenerateFitError, ParameterError
 
@@ -229,3 +233,74 @@ def test_profile_serde_round_trip():
     with pytest.raises(ParameterError):
         profile_to_dict(select_profile(linear_profile(0.5, uniform_noise(0.1)),
                                        constant_profile(0.5, uniform_noise(0.1))))
+
+
+def reference_quantile(profile, s, q):
+    """``quantile`` as it was before it transformed one output in place,
+    kept verbatim (out-of-place formulas) as the bit-for-bit reference."""
+    s_arr = np.asarray(s, dtype=float)
+    q_arr = np.asarray(q, dtype=float)
+    if profile.family == SELECT:
+        mask = _select_mask(profile, s_arr)
+        xa = reference_quantile(profile.sources[0], s_arr, q_arr)
+        xb = reference_quantile(profile.sources[1], s_arr, q_arr)
+        x = np.where(mask, xb, xa)
+        return x if x.shape else float(x)
+
+    e = np.asarray(mean_ability(profile, s_arr), dtype=float)
+    sigma = profile.noise.sigma
+    if sigma == 0.0:
+        x = np.broadcast_to(e, np.broadcast_shapes(e.shape, q_arr.shape)).copy()
+    elif profile.noise.kind == UNIFORM:
+        half = np.minimum(e, 1.0 - e) * sigma
+        x = e + half * (2.0 * q_arr - 1.0)
+    else:
+        with np.errstate(over="ignore"):
+            pa = ndtr((0.0 - e) / sigma)
+            pb = ndtr((1.0 - e) / sigma)
+        x = e + sigma * ndtri(pa + q_arr * (pb - pa))
+    x = np.clip(x, 0.0, 1.0)
+    return x if x.shape else float(x)
+
+
+NOISES = [uniform_noise(0.0), uniform_noise(0.4), uniform_noise(1.0),
+          truncnorm_noise(0.0), truncnorm_noise(0.1), truncnorm_noise(0.5), truncnorm_noise(3.0)]
+
+
+def family_profiles(noise):
+    return [
+        constant_profile(0.6, noise),
+        linear_profile(0.3, noise, c=0.9),
+        polynomial_profile(1.7, noise),
+        piecewise_profile([(0.0, 1.0), (0.5, 0.7), (1.0, 0.2)], noise),
+        select_profile(linear_profile(0.22, noise), constant_profile(0.7, truncnorm_noise(0.2)), 1.1),
+    ]
+
+
+def quantile_inputs():
+    rng = np.random.default_rng(11)
+    n = 5
+    q_edges = rng.random((40, n))
+    q_edges[0], q_edges[1] = 0.0, 1.0
+    return [
+        (0.3, 0.7),
+        (np.array(0.3), np.array(0.7)),
+        (rng.random((1, n)), q_edges),
+        (rng.random((1, n)), rng.random((40, 1))),
+        (rng.random((3, 4)), rng.random((3, 4))),
+    ]
+
+
+def same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda nm: f"{nm.kind}-{nm.sigma}")
+def test_quantile_in_place_equals_reference_bits(noise):
+    for prof in family_profiles(noise):
+        for s, q in quantile_inputs():
+            s_before, q_before = np.array(s, copy=True), np.array(q, copy=True)
+            got = quantile(prof, s, q)
+            assert same_bits(got, reference_quantile(prof, s, q)), (prof.family, np.shape(s), np.shape(q))
+            assert np.array_equal(s, s_before) and np.array_equal(q, q_before)

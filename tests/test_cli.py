@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from jobfit.ability import linear_profile, uniform_noise
 from jobfit.cli import SWEEP_COLUMNS, main
+from jobfit.job import ErrorModel, balanced_job
+from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_success_probability
 
 
 def run(capsys, *argv):
@@ -80,6 +84,41 @@ def test_sweep_heatmap_json(capsys, tmp_path):
     assert doc["kind"] == "heatmap"
     assert len(doc["grid1"]) == 3 and len(doc["grid2"]) == 2
     assert len(doc["values"]) == 6  # row-major over (grid1, grid2)
+
+
+@pytest.mark.parametrize("axes", [("a1", "0:0.6:2", "a2", "0:0.6:3"), ("a1", "0:0.6:3", "sigma", "0.1:0.4:2"),
+                                  ("tau", "0.1:0.3:3", "a2", "0:0.6:2"), ("a1", "0:0.6:2", "tau", "0.1:0.3:3")])
+def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes):
+    # Row-major cells, each equal to its own estimate on the same seed.
+    p1, g1, p2, g2 = axes
+    out = tmp_path / "heat.json"
+    assert run(capsys, "sweep", "--param", p1, "--grid", g1, "--param2", p2, "--grid2", g2,
+               "--trials", "300", "--out", str(out), "--job", "balanced:n=6,m=6,k=2,seed=3,tau=0.2",
+               "--a1", "0.3", "--a2", "0.3", "--sigma", "0.3", "--p", "0.4")[0] == 0
+    doc = json.loads(out.read_text())
+    rng = np.random.default_rng(3)
+    spec = balanced_job(6, 6, 2, rng.uniform(size=6), rng.uniform(size=6), 0.2)
+    base = Worker(linear_profile(0.3, uniform_noise(0.3)), linear_profile(0.3, uniform_noise(0.3)), 0.4)
+    assert len(set(doc["values"])) > 2
+    expect = []
+    for v1 in doc["grid1"]:
+        for v2 in doc["grid2"]:
+            w, tau = base, None
+            for name, v in ((p1, v1), (p2, v2)):
+                if name == "tau":
+                    tau = v
+                else:
+                    w = apply_knob(w, name, v)
+            expect.append(estimate_success_probability(w, spec, ErrorModel(), SimConfig(300, 1234), tau).value)
+    assert doc["values"] == expect
+
+
+def test_sweep_heatmap_rejects_same_knob_twice(capsys, tmp_path):
+    out = tmp_path / "heat.json"
+    code, _, err = run(capsys, "sweep", "--param", "a1", "--grid", "0:1:3",
+                       "--param2", "a1", "--grid2", "0:1:2", "--trials", "200", "--out", str(out))
+    assert code == 2 and "--param2 must differ from --param" in err
+    assert not out.exists()
 
 
 def test_divide_subcommand(capsys):

@@ -7,7 +7,12 @@ from jobfit.ability import (
     cdf,
     constant_profile,
     linear_profile,
+    piecewise_profile,
+    polynomial_profile,
+    quantile,
+    select_profile,
     survival,
+    truncnorm_noise,
     truncnorm_var,
     uniform_noise,
 )
@@ -21,6 +26,8 @@ from jobfit.simulate import (
     SimEstimate,
     Worker,
     _chunk_uniforms,
+    _level_errors,
+    _shared_draw_errors,
     apply_knob,
     brute_force_success_probability,
     draw_error_matrix,
@@ -338,3 +345,64 @@ def test_max_job_golden_values():
     est = estimate_success_probability(worker, spec, MAX, SimConfig(trials=CHUNK_TRIALS + 1, seed=17))
     assert [est.value.hex(), est.stderr.hex(), est.ci[0].hex(), est.ci[1].hex()] == [
         "0x1.99b2664d99b26p-2", "0x1.f5abe340ff571p-10", "0x1.95db2444c32f4p-2", "0x1.9d89a85670358p-2"]
+
+
+def reference_level_errors(profile, s, p, col, u, beta, sel):
+    """``_level_errors`` as it was when it inverted both the independent and
+    the status variate and then picked one, kept verbatim as the
+    bit-for-bit reference."""
+    x = quantile(profile, s[None, :], u[:, :, col])
+    if p > 0.0:
+        dep = quantile(profile, s[None, :], beta[:, None])
+        x = np.where(sel[:, :, col] < p, dep, x)
+    return 1.0 - x
+
+
+@pytest.mark.parametrize("noise", [uniform_noise(0.0), uniform_noise(0.4), uniform_noise(1.0),
+                                   truncnorm_noise(0.0), truncnorm_noise(0.15), truncnorm_noise(3.0)],
+                         ids=lambda nm: f"{nm.kind}-{nm.sigma}")
+def test_level_errors_one_transform_equals_reference_bits(noise):
+    spec = tiny_spec(n=6, seed=4)
+    u, beta, sel = _chunk_uniforms(8, 0, 0, 300, spec.n)
+    before = [a.copy() for a in (u, beta, sel)]
+    profiles = [
+        constant_profile(0.6, noise),
+        linear_profile(0.3, noise, c=0.9),
+        polynomial_profile(1.7, noise),
+        piecewise_profile([(0.0, 1.0), (0.5, 0.7), (1.0, 0.2)], noise),
+        select_profile(linear_profile(0.22, noise), constant_profile(0.7, truncnorm_noise(0.2)), 1.1),
+    ]
+    for prof in profiles:
+        for p in (0.0, 0.3, 1.0):
+            for col, s in enumerate((spec.s1, spec.s2)):
+                got = _level_errors(prof, s, p, col, u, beta, sel)
+                want = reference_level_errors(prof, s, p, col, u, beta, sel)
+                assert got.shape == want.shape == (300, spec.n) and type(got) is type(want)
+                assert got.tobytes() == want.tobytes(), (prof.family, p, col)
+    assert all(np.array_equal(a, b) for a, b in zip((u, beta, sel), before))
+
+
+@pytest.mark.parametrize("need_sel", [True, False])
+def test_chunk_uniforms_equal_generator_uniform(need_sel):
+    u, beta, sel = _chunk_uniforms(9, 3, 2, 500, 6, need_sel=need_sel)
+    rng = np.random.default_rng(np.random.SeedSequence([9, 3, 2]))
+    assert u.tobytes() == rng.uniform(size=(500, 6, 2)).tobytes()
+    assert beta.tobytes() == rng.uniform(size=500).tobytes()
+    if need_sel:
+        assert sel.tobytes() == rng.uniform(size=(500, 6, 2)).tobytes()
+    else:
+        assert sel is None
+
+
+def test_full_chunks_do_not_depend_on_run_length():
+    spec, workers = _many_case()
+    workers = list(dict.fromkeys(workers))[:4]
+
+    def full_chunks(trials):
+        errs = [err for _, err in _shared_draw_errors(workers, spec, AVG, trials, 13, 0)]
+        return [e.tobytes() for e in errs[:len(workers) * (trials // CHUNK_TRIALS)]]
+
+    longest = full_chunks(2 * CHUNK_TRIALS + 1)
+    assert len(longest) == 2 * len(workers)
+    for trials in (CHUNK_TRIALS, CHUNK_TRIALS + 1):
+        assert full_chunks(trials) == longest[:len(workers)]
