@@ -92,7 +92,8 @@ def _add_worker(p: argparse.ArgumentParser, prefix: str = "", default_preset: st
         p.add_argument(f"{d}sigma{level}", type=float, default=None)
         p.add_argument(f"{d}var{level}", type=float, default=None,
                        help=f"noise variance alternative to sigma{level}")
-    p.add_argument(f"{d}noise", choices=("uniform", "trunc"), default="uniform")
+    p.add_argument(f"{d}noise", choices=("uniform", "trunc"), default=None,
+                   help="noise kind (default uniform)")
     p.add_argument(f"{d}sigma", type=float, default=None, help="noise level for both levels")
     p.add_argument(f"{d}p", type=float, default=0.0, help="dependency parameter")
 
@@ -126,6 +127,12 @@ def _resolve_worker(args, prefix: str = "") -> Worker:
         preset = _get(args, prefix, "worker")
         if preset is None:
             raise ParameterError("no worker given: use a preset or explicit profile flags")
+        d = "--" + prefix.replace("_", "-")
+        given = [d + name for name in ("noise", "sigma", "sigma1", "sigma2", "var1", "var2")
+                 if _get(args, prefix, name) is not None]
+        if given:
+            raise ParameterError(f"{', '.join(given)} set the noise of explicit profiles only "
+                                 f"({d}a1/c1/beta1 and {d}a2/c2/beta2); preset {preset!r} has its own")
         if args_no_divide(args) and preset in ("human", "ai"):
             preset = preset + "-skill"
         return dataio.named_worker(preset, p=p)
@@ -319,21 +326,15 @@ def _heatmap(worker, spec, model, param1, grid1, param2, grid2, config, crn) -> 
             pts = sweep(w1, spec, model, param2, grid2, config, crn=False, tau=v1 if param1 == "tau" else None)
             values.extend(pt.estimate.value for pt in pts)
         return values
-    n1, n2 = len(grid1), len(grid2)
     if param1 == "tau":
         ests = estimate_many([apply_knob(worker, param2, v) for v in grid2], spec, model, config, grid1)
-        cells = [(i, j) for j in range(n2) for i in range(n1)]
-    elif param2 == "tau":
+        return [ests[j * len(grid1) + i].value for i in range(len(grid1)) for j in range(len(grid2))]
+    if param2 == "tau":
         ests = estimate_many([apply_knob(worker, param1, v) for v in grid1], spec, model, config, grid2)
-        cells = [(i, j) for i in range(n1) for j in range(n2)]
     else:
-        # The engine keeps a level column that the inner axis shares until
-        # its last use in the chunk, so the shorter axis goes inside.
-        cells = sorted(((i, j) for i in range(n1) for j in range(n2)), key=lambda c: c if n1 >= n2 else c[::-1])
-        ests = estimate_many([apply_knob(apply_knob(worker, param1, grid1[i]), param2, grid2[j])
-                              for i, j in cells], spec, model, config)
-    value = {c: est.value for c, est in zip(cells, ests)}
-    return [value[i, j] for i in range(n1) for j in range(n2)]
+        ests = estimate_many([apply_knob(apply_knob(worker, param1, v1), param2, v2)
+                              for v1 in grid1 for v2 in grid2], spec, model, config)
+    return [est.value for est in ests]
 
 
 def _cmd_phase(args, argv) -> None:

@@ -6,6 +6,16 @@ with chunks of :data:`CHUNK_TRIALS` trials.  Results are therefore
 bit-identical across runs and independent of how work is scheduled, and
 two runs with the same seed see the same underlying uniforms (common
 random numbers) no matter which worker parameters they map them through.
+
+Stream layout of a chunk of ``count`` trials over n skills: one PCG64
+stream seeded by ``SeedSequence([seed, tag, chunk])`` holds ``u``
+(count, n, 2) at draw offset 0, ``beta`` (count,) at ``count*2n`` and
+``sel`` (count, n, 2) at ``count*(2n+1)``, each row-major, one 64-bit
+draw per double.  Row a of a section therefore starts at the section's
+offset plus ``a*2n`` (``a`` for beta), and a block of rows is read by
+advancing the seeded stream there.  The engine runs each chunk in blocks
+of :data:`BLOCK_TRIALS` trials, so its working set is a block, not a
+chunk; the block size changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -23,6 +33,9 @@ from .errors import CapacityError, ParameterError
 from .job import ErrorModel, JobSpec, effective_coefficients, make_error_evaluator
 
 CHUNK_TRIALS = 1 << 16
+# Trials per engine block.  Block boundaries stay multiples of 8 rows:
+# BLAS groups rows, and other splits change the bits of the weighted sums.
+BLOCK_TRIALS = 1 << 12
 _BRUTE_BLOCK = 1 << 22
 
 
@@ -88,15 +101,30 @@ def _chunk_streams(trials: int):
         idx += 1
 
 
-def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *, need_sel: bool = True):
-    """Fixed-layout uniforms for one chunk: (u, beta, selector).  The selector
-    is drawn last, so skipping it leaves ``u`` and ``beta`` unchanged.
-    ``Generator.random`` consumes the stream as ``uniform(0, 1)`` does and
-    gives the same bits."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, tag, chunk]))
-    u = rng.random((count, n, 2))
-    beta = rng.random(count)
-    sel = rng.random((count, n, 2)) if need_sel else None
+def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
+                    need_sel: bool = True, rows: tuple[int, int] | None = None):
+    """Fixed-layout uniforms for one chunk: (u, beta, selector), or with
+    ``rows=(a, b)`` only trials a..b-1 of each.
+
+    The chunk's stream holds ``u`` at draw offset 0, ``beta`` at
+    ``count*2n`` and ``sel`` at ``count*(2n+1)``, one 64-bit draw per
+    double (``Generator.random`` consumes the stream as ``uniform(0, 1)``
+    does).  Each section's rows are read by resetting the once-seeded
+    PCG64 and advancing it to the section offset plus the first row's
+    offset.  The selector is drawn last, so skipping it leaves ``u`` and
+    ``beta`` unchanged."""
+    a, b = (0, count) if rows is None else rows
+    bitgen = np.random.PCG64(np.random.SeedSequence([seed, tag, chunk]))
+    start, gen = bitgen.state, np.random.Generator(bitgen)
+
+    def section(offset: int, width: int, shape):
+        bitgen.state = start
+        bitgen.advance(offset + a * width)
+        return gen.random(shape)
+
+    u = section(0, 2 * n, (b - a, n, 2))
+    beta = section(count * 2 * n, 1, b - a)
+    sel = section(count * (2 * n + 1), 2 * n, (b - a, n, 2)) if need_sel else None
     return u, beta, sel
 
 
@@ -126,31 +154,33 @@ def draw_error_matrix(worker: Worker, spec: JobSpec, rng: np.random.Generator) -
 def _shared_draw_errors(workers: list[Worker], spec: JobSpec, model: ErrorModel,
                         trials: int, seed: int, tag: int):
     """Yield ``(i, job errors)`` per chunk for every worker i, all workers on
-    the chunk's one draw.  A level column that several workers share (same
-    level, profile and p) is computed once per chunk and kept only until
-    its last use; every array of a chunk is released before the next draw."""
+    the chunk's one draw.  Each chunk runs in blocks of :data:`BLOCK_TRIALS`
+    trials that write into one (workers, count) error array; within a
+    block, a level column that several workers share (same level, profile
+    and p) is computed once and kept only until its last use."""
     evaluate = make_error_evaluator(spec, model)
     uses = Counter((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
     need_sel = any(w.p > 0.0 for w in workers)
     for chunk, count in _chunk_streams(trials):
-        u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel)
-        left, memo = Counter(uses), {}
-        for i, w in enumerate(workers):
-            zeta = np.empty((count, spec.n, 2))
-            for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
-                key = (col, prof, w.p)
-                errs = memo.pop(key, None)
-                if errs is None:
-                    errs = _level_errors(prof, s, w.p, col, u, beta, sel)
-                left[key] -= 1
-                if left[key]:
-                    memo[key] = errs
-                zeta[:, :, col] = errs
-                del errs
-            err = evaluate(zeta)
-            del zeta
-            yield i, err
-        del u, beta, sel
+        err = np.empty((len(workers), count))
+        for a in range(0, count, BLOCK_TRIALS):
+            b = min(a + BLOCK_TRIALS, count)
+            u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel, rows=(a, b))
+            left, memo = Counter(uses), {}
+            for i, w in enumerate(workers):
+                zeta = np.empty((b - a, spec.n, 2))
+                for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
+                    key = (col, prof, w.p)
+                    errs = memo.pop(key, None)
+                    if errs is None:
+                        errs = _level_errors(prof, s, w.p, col, u, beta, sel)
+                    left[key] -= 1
+                    if left[key]:
+                        memo[key] = errs
+                    zeta[:, :, col] = errs
+                err[i, a:b] = evaluate(zeta)
+        yield from enumerate(err)
+        del err
 
 
 def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) -> SimEstimate:
@@ -179,6 +209,7 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     successes = [[0] * len(taus) for _ in distinct]
     for i, err in _shared_draw_errors(distinct, spec, model, config.trials, config.seed, _tag):
         successes[i] = [k + int((err <= tau).sum()) for k, tau in zip(successes[i], taus)]
+        del err  # a row view would keep its chunk's error array alive through the next chunk
     row_of = dict(zip(distinct, successes))
     return [_binomial_estimate(k, config.trials, config.seed, config.ci_level) for w in workers for k in row_of[w]]
 

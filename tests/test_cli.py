@@ -50,6 +50,27 @@ def test_bad_seed_and_balanced_descriptor_exit_2(capsys):
         assert code == 2 and "balanced" in err, job
 
 
+@pytest.mark.parametrize("flags", [("--sigma", "-1"), ("--noise", "uniform", "--sigma", "2"),
+                                   ("--noise", "trunc"), ("--sigma1", "0.2"), ("--sigma2", "0.2"),
+                                   ("--var1", "0.01"), ("--var2", "0.01")])
+def test_preset_rejects_noise_flags(capsys, flags):
+    # A preset fixes its own noise; a noise flag beside it used to be ignored.
+    code, stdout, err = run(capsys, "estimate", "--worker", "human", "--trials", "10", *flags)
+    assert code == 2 and not stdout
+    assert err.startswith("error: ") and flags[-2] in err and "'human'" in err
+
+
+@pytest.mark.parametrize("flags", [("--b-sigma", "0.3"), ("--b-noise", "trunc"), ("--b-var2", "0.01")])
+def test_second_preset_rejects_noise_flags(capsys, flags):
+    code, _, err = run(capsys, "merge", "--trials", "10", *flags)
+    assert code == 2 and flags[0] in err and "'ai'" in err
+
+
+def test_preset_keeps_dependency_flag(capsys):
+    code, stdout, _ = run(capsys, "estimate", "--worker", "human", "--p", "0.3", "--trials", "10")
+    assert code == 0 and stdout.startswith("P = ")
+
+
 def test_numerical_exit_code(capsys):
     # tau far above anything attainable: no root for the critical ability
     code, _, err = run(capsys, "phase", "--job", "balanced:n=6,m=6,k=2,seed=1,tau=0.99",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from jobfit.ability import (
 )
 from jobfit.dataio import load_fixture_job, named_worker
 from jobfit.errors import CapacityError, ParameterError
+from jobfit import simulate
 from jobfit.job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job
 from jobfit.merging import merge_with_trust
 from jobfit.simulate import (
+    BLOCK_TRIALS,
     CHUNK_TRIALS,
     SimConfig,
     SimEstimate,
@@ -406,3 +410,80 @@ def test_full_chunks_do_not_depend_on_run_length():
     assert len(longest) == 2 * len(workers)
     for trials in (CHUNK_TRIALS, CHUNK_TRIALS + 1):
         assert full_chunks(trials) == longest[:len(workers)]
+
+
+def test_block_size_divides_chunk_on_eight_row_boundaries():
+    # BLAS groups rows in the weighted sums: a block boundary that is not a
+    # multiple of 8 rows (333 or 1001, say) changes the bits of the linear
+    # and weighted evaluators.
+    assert CHUNK_TRIALS % BLOCK_TRIALS == 0 and BLOCK_TRIALS % 8 == 0
+
+
+@pytest.mark.parametrize("need_sel", [True, False])
+@pytest.mark.parametrize("count, n, rows", [
+    (1000, 4, [(0, 64), (64, 512), (512, 1000)]),
+    (700, 1, [(0, 8), (8, 640), (640, 700)]),
+    (CHUNK_TRIALS, 2, [(0, BLOCK_TRIALS), (BLOCK_TRIALS, CHUNK_TRIALS - BLOCK_TRIALS),
+                       (CHUNK_TRIALS - BLOCK_TRIALS, CHUNK_TRIALS)]),
+])
+def test_chunk_uniforms_row_blocks_concatenate_to_chunk(count, n, rows, need_sel):
+    whole = _chunk_uniforms(6, 1, 3, count, n, need_sel=need_sel)
+    parts = [_chunk_uniforms(6, 1, 3, count, n, need_sel=need_sel, rows=r) for r in rows]
+    for k, name in enumerate(("u", "beta", "sel")):
+        if not need_sel and name == "sel":
+            assert whole[k] is None and all(part[k] is None for part in parts)
+            continue
+        assert [part[k].shape[0] for part in parts] == [b - a for a, b in rows]
+        assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes(), name
+
+
+def _error_bytes(workers, spec, model, trials, block, monkeypatch):
+    monkeypatch.setattr(simulate, "BLOCK_TRIALS", block)
+    return [(i, err.tobytes()) for i, err in _shared_draw_errors(workers, spec, model, trials, 21, 4)]
+
+
+def test_shared_draw_errors_do_not_depend_on_block_size(monkeypatch):
+    spec, workers = _many_case()
+    runs = [_error_bytes(workers, spec, AVG, CHUNK_TRIALS + 1_000, block, monkeypatch)
+            for block in (64, 1 << 12, CHUNK_TRIALS)]
+    assert len(runs[0]) == 2 * len(workers)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_every_model_on_max_job_does_not_depend_on_block_size(monkeypatch):
+    spec, worker = _max_case()
+    workers = [worker, apply_knob(worker, "p", 0.4)]
+    for h, g, f in itertools.product(("average", "sum", "max"), ("average", "weighted", "max"),
+                                     ("average", "weighted", "max")):
+        model = ErrorModel(h=h, g=g, f=f)
+        runs = [_error_bytes(workers, spec, model, 6_000, block, monkeypatch)
+                for block in (64, 1 << 12, CHUNK_TRIALS)]
+        assert runs[0] == runs[1] == runs[2], (h, g, f)
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_working_set_is_a_block_not_a_chunk():
+    # Built whole, one chunk takes 76.6 MB (fixture, p = 0.3) or 101.7 MB (max job).
+    spec = load_fixture_job()
+    human = named_worker("human", p=0.3)
+    assert _traced_peak_mb(lambda: estimate_success_probability(
+        human, spec, FIXTURE_MODEL, SimConfig(trials=200_000, seed=3))) < 16.0
+    spec, worker = _max_case()
+    assert _traced_peak_mb(lambda: estimate_success_probability(
+        worker, spec, MAX, SimConfig(trials=CHUNK_TRIALS, seed=3))) < 16.0
+
+
+def test_estimate_many_holds_one_chunk_of_errors_at_a_time():
+    spec = tiny_spec(n=3)
+    workers = [linear_worker(a, 0.4, 0.2) for a in np.linspace(0.1, 0.9, 16)]
+    one_chunk_mb = len(workers) * CHUNK_TRIALS * 8 / 1e6
+    peak = _traced_peak_mb(lambda: estimate_many(workers, spec, AVG, SimConfig(trials=2 * CHUNK_TRIALS)))
+    assert one_chunk_mb < peak < 1.5 * one_chunk_mb
