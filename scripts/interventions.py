@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Intervention sensitivities on the fixture job: finite-difference
 derivatives of P with respect to the decision slope and to the shared
-noise scale, and the evaluation-bias misclassification curve."""
+noise scale."""
 
 import argparse
 from pathlib import Path
@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from jobfit.ability import linear_profile, truncnorm_var
-from jobfit.dataio import HUMAN_SLOPE, load_fixture_job, named_worker
+from jobfit.dataio import HUMAN_SLOPE, load_fixture_job
 from jobfit.job import FIXTURE_MODEL
-from jobfit.simulate import SimConfig, Worker, finite_diff_derivative, sweep
-from jobfit.theory import bias_misclassification_rate
+from jobfit.simulate import SimConfig, Worker, finite_diff_derivative
 
 
 def worker_at(a: float, sigma: float) -> Worker:
@@ -52,17 +51,7 @@ def main() -> None:
         lines.append(f"{sigma},{da},{ds}")
     (outdir / "derivatives_vs_noise.csv").write_text("\n".join(lines) + "\n")
 
-    # bias misclassification curve from the ability-success map
-    curve_grid = np.linspace(0.0, 0.6, 121)
-    curve_cfg = SimConfig(trials=20_000, seed=args.seed)
-    pts = sweep(named_worker("human"), spec, FIXTURE_MODEL, "a1", curve_grid, curve_cfg)
-    curve = [pt.estimate.value for pt in pts]
-    lines = ["beta,rate"]
-    for beta in np.linspace(0.25, 1.0, 31):
-        rate = bias_misclassification_rate(float(beta), curve_grid, curve)
-        lines.append(f"{beta},{rate}")
-    (outdir / "bias_rates.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote derivative and bias curves under {outdir}/")
+    print(f"wrote derivative curves under {outdir}/")
 
 
 if __name__ == "__main__":

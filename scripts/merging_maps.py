@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
 """Merging experiments: gain heatmap for distinct-profile merges over the
-assistant's (a, c) plane, the trust-parameter slice, and the
-productivity-compression point."""
+assistant's (a, c) plane, and the trust-parameter slice."""
 
 import argparse
-import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +12,7 @@ from jobfit.cli import parse_grid
 from jobfit.dataio import AI_VARIANCE, load_fixture_job, named_worker
 from jobfit.job import FIXTURE_MODEL
 from jobfit.merging import evaluate_merge_gain, merge_per_subskill, merge_with_trust
-from jobfit.simulate import SimConfig, Worker, apply_knob
-from jobfit.theory import compression_bound
+from jobfit.simulate import SimConfig, Worker
 
 
 def assistant(a: float, c: float) -> Worker:
@@ -59,13 +55,7 @@ def main() -> None:
         lines.append(f"{trust},{res.delta},{res.table['merge'].value}")
     (outdir / "trust_slice.csv").write_text("\n".join(lines) + "\n")
 
-    low, high = apply_knob(base, "a2", 0.1), apply_knob(base, "a2", 0.8)
-    report = compression_bound(low, high, assistant(0.08, 0.8), spec, FIXTURE_MODEL,
-                               theta=0.1, config=config)
-    (outdir / "compression_point.json").write_text(
-        json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, default=str) + "\n")
-    print(f"PC = {report.pc:.4f}; wrote heatmap, trust slice, and compression report "
-          f"under {outdir}/")
+    print(f"wrote heatmap and trust slice under {outdir}/")
 
 
 if __name__ == "__main__":

@@ -318,13 +318,15 @@ def _cmd_sweep(args, argv) -> None:
 def _heatmap(worker, spec, model, param1, grid1, param2, grid2, config, crn) -> list[float]:
     """P on the grid1 x grid2 map, row-major.  Under CRN one ``estimate_many``
     call covers the whole map (the tau axis as its taus), so each chunk is
-    drawn once; without CRN each row is its own ``sweep``."""
+    drawn once; without CRN row-major cell k draws its own stream, tag 1 + k
+    (row 0 keeps the tags of a 1-D ``sweep``)."""
     if not crn:
         values = []
         for v1 in grid1:
             w1 = worker if param1 == "tau" else apply_knob(worker, param1, v1)
-            pts = sweep(w1, spec, model, param2, grid2, config, crn=False, tau=v1 if param1 == "tau" else None)
-            values.extend(pt.estimate.value for pt in pts)
+            for v2 in grid2:
+                w, tau = (w1, v2) if param2 == "tau" else (apply_knob(w1, param2, v2), v1 if param1 == "tau" else None)
+                values.append(estimate_many([w], spec, model, config, [tau], 1 + len(values))[0].value)
         return values
     if param1 == "tau":
         ests = estimate_many([apply_knob(worker, param2, v) for v in grid2], spec, model, config, grid1)
@@ -431,15 +433,27 @@ def _cmd_fit(args, argv) -> None:
     _write_outputs(args, argv, {"": _report_text(doc)})
 
 
-def _cmd_rerun(args, argv) -> None:
+def _read_manifest(path: str) -> list[str]:
+    """The argv a manifest records: a JSON object whose ``argv`` is a list of
+    strings naming a subcommand other than ``rerun``."""
     try:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        replay = manifest["argv"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ParameterError(f"cannot read manifest {args.manifest!r}: {exc}")
-    code = main(replay)
-    if code != 0:
-        raise ParameterError(f"replayed command failed with exit code {code}")
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"cannot read manifest {path!r}: {exc}")
+    replay = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not isinstance(replay, list) or not all(isinstance(a, str) for a in replay):
+        raise ParameterError(f"manifest {path!r} must be a JSON object whose 'argv' is a list of strings")
+    if replay[:1] == ["rerun"]:
+        raise ParameterError(f"manifest {path!r} replays 'rerun', which would recurse")
+    return replay
+
+
+def _cmd_rerun(args, argv) -> None:
+    replays = [(path, _read_manifest(path)) for path in args.manifest]
+    for path, replay in replays:
+        code = main(replay)
+        if code != 0:
+            raise ParameterError(f"replaying {path!r} failed with exit code {code}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -514,8 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, job=False)
     p.set_defaults(run=_cmd_fit)
 
-    p = sub.add_parser("rerun", help="replay a manifest and regenerate its outputs")
-    p.add_argument("manifest")
+    p = sub.add_parser("rerun", help="replay manifests in order and regenerate their outputs")
+    p.add_argument("manifest", nargs="+")
     p.set_defaults(run=_cmd_rerun)
 
     return parser

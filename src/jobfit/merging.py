@@ -48,12 +48,9 @@ def merge_uniform(worker_a: Worker, worker_b: Worker, pick: tuple[str, str] = ("
     action level.  The dependency parameter is inherited conservatively
     as the max of the two."""
     src = {"A": worker_a, "B": worker_b}
-    try:
-        alpha1 = src[pick[0]].alpha1
-        alpha2 = src[pick[1]].alpha2
-    except KeyError as exc:
-        raise ParameterError(f"pick entries must be 'A' or 'B', got {pick}") from exc
-    return Worker(alpha1, alpha2, max(worker_a.p, worker_b.p))
+    if len(pick) != 2 or not all(s in src for s in pick):
+        raise ParameterError(f"pick needs exactly two entries, each 'A' or 'B', got {pick}")
+    return Worker(src[pick[0]].alpha1, src[pick[1]].alpha2, max(worker_a.p, worker_b.p))
 
 
 def _assign(pa: AbilityProfile, pb: AbilityProfile, s: np.ndarray, scale: float) -> np.ndarray:

@@ -60,6 +60,15 @@ def level_knob(profile: AbilityProfile, level: int) -> str:
     return f"{_FAMILY_KNOB[profile.family]}{level}"
 
 
+def _vary_level(worker: Worker, vary: str) -> int:
+    """The level whose base-family ability parameter ``vary`` names."""
+    knobs = {level_knob(worker.profile(level), level): level for level in (1, 2)
+             if worker.profile(level).family in _FAMILY_KNOB}
+    if vary not in knobs:
+        raise ParameterError(f"cannot vary {vary!r}: this worker's ability parameters are {sorted(knobs)}")
+    return knobs[vary]
+
+
 def subgaussian_bound(noise: NoiseModel) -> float:
     """Per-subskill subgaussian constant: sigma^2/4 for scaled uniform
     (range bound on a width <= sigma interval), sigma^2 for truncated normal."""
@@ -175,15 +184,15 @@ def critical_ability(
 ) -> float:
     """Parameter value where the expected job error equals tau.
 
-    ``vary`` is a knob name (a1, a2, c1, c2, beta1, beta2); the map from
-    the parameter to Err_avg is monotone decreasing, so bisection applies.
+    ``vary`` is the ability knob of one level's base family (a1, a2, c1,
+    c2, beta1, beta2); the map from the parameter to Err_avg is monotone
+    decreasing, so bisection applies.
     Monte Carlo evaluations reuse one set of draws, keeping the objective
     monotone despite the noise.
     """
     tau = spec.tau if tau is None else float(tau)
     if bracket is None:
-        level = int(vary[-1])
-        bracket = _PARAM_BRACKET[worker.profile(level).family]
+        bracket = _PARAM_BRACKET[worker.profile(_vary_level(worker, vary)).family]
     lo, hi = bracket
     err_avg = _err_avg_fn(spec, model, config)
     e_lo = err_avg(apply_knob(worker, vary, lo))
@@ -237,7 +246,7 @@ def verify_phase_transition(
     _check_theta(theta)
     tau = spec.tau if tau is None else float(tau)
     config = config or SimConfig()
-    level = int(vary[-1])
+    level = _vary_level(worker, vary)
     profile = worker.profile(level)
     mu_c = critical_ability(spec, model, worker, vary, tau=tau, config=config)
     L = lipschitz_bound(spec, model)

@@ -7,7 +7,7 @@ import pytest
 from jobfit.ability import linear_profile, uniform_noise
 from jobfit.cli import SWEEP_COLUMNS, main
 from jobfit.job import ErrorModel, balanced_job
-from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_success_probability
+from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_many, estimate_success_probability
 
 
 def run(capsys, *argv):
@@ -134,6 +134,32 @@ def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes):
     assert doc["values"] == expect
 
 
+@pytest.mark.parametrize("axes", [("a1", "0:0.6:2", "a2", "0:0.6:3"), ("tau", "0.1:0.3:3", "a2", "0:0.6:2"),
+                                  ("a1", "0:0.6:2", "tau", "0.1:0.3:3")])
+def test_no_crn_heatmap_cells_draw_their_own_streams(capsys, tmp_path, axes):
+    # Row-major cell k draws from tag 1 + k; rows used to repeat the tags of row 0.
+    p1, g1, p2, g2 = axes
+    out = tmp_path / "heat.json"
+    assert run(capsys, "sweep", "--param", p1, "--grid", g1, "--param2", p2, "--grid2", g2, "--no-crn",
+               "--trials", "300", "--out", str(out), "--job", "balanced:n=6,m=6,k=2,seed=3,tau=0.2",
+               "--a1", "0.3", "--a2", "0.3", "--sigma", "0.3", "--p", "0.4")[0] == 0
+    doc = json.loads(out.read_text())
+    rng = np.random.default_rng(3)
+    spec = balanced_job(6, 6, 2, rng.uniform(size=6), rng.uniform(size=6), 0.2)
+    base = Worker(linear_profile(0.3, uniform_noise(0.3)), linear_profile(0.3, uniform_noise(0.3)), 0.4)
+    expect = []
+    for v1 in doc["grid1"]:
+        for v2 in doc["grid2"]:
+            w, tau = base, None
+            for name, v in ((p1, v1), (p2, v2)):
+                if name == "tau":
+                    tau = v
+                else:
+                    w = apply_knob(w, name, v)
+            expect.append(estimate_many([w], spec, ErrorModel(), SimConfig(300, 1234), [tau], 1 + len(expect))[0].value)
+    assert doc["values"] == expect
+
+
 def test_sweep_heatmap_rejects_same_knob_twice(capsys, tmp_path):
     out = tmp_path / "heat.json"
     code, _, err = run(capsys, "sweep", "--param", "a1", "--grid", "0:1:3",
@@ -200,6 +226,52 @@ def test_manifest_rerun_reproduces_bytes(capsys, tmp_path):
     out.unlink()
     assert run(capsys, "rerun", str(tmp_path / "curve.csv.manifest.json"))[0] == 0
     assert out.read_bytes() == first
+
+
+def test_rerun_replays_several_manifests_in_order(capsys, tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.csv"]
+    runs = [("estimate", "--worker", "ai", "--trials", "500", "--out", str(outs[0])),
+            ("sweep", "--param", "a1", "--grid", "0.2:0.8:3", "--trials", "400", "--out", str(outs[1]))]
+    for args in runs:
+        assert run(capsys, *args)[0] == 0
+    first = [out.read_bytes() for out in outs]
+    for out in outs:
+        out.unlink()
+    code, stdout, _ = run(capsys, "rerun", *(f"{out}.manifest.json" for out in outs))
+    assert code == 0 and stdout.index("P = ") < stdout.index("sweep a1")
+    assert [out.read_bytes() for out in outs] == first
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ('["estimate"]', "JSON object"),
+    ('{"argv": "estimate"}', "list of strings"),
+    ('{"argv": ["estimate", 3]}', "list of strings"),
+    ('{"tool": "jobfit"}', "list of strings"),
+    ("{not json", "cannot read manifest"),
+    ('{"argv": ["rerun", "SELF"]}', "recurse"),
+])
+def test_rerun_rejects_malformed_manifests(capsys, tmp_path, manifest, message):
+    path = tmp_path / "m.json"
+    path.write_text(manifest.replace("SELF", str(path)))
+    code, stdout, err = run(capsys, "rerun", str(path))
+    assert code == 2 and not stdout
+    assert err.startswith("error: ") and message in err and str(path) in err
+
+
+def test_rerun_checks_every_manifest_before_replaying(capsys, tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"argv": ["estimate", "--trials", "10", "--out", str(tmp_path / "e.json")]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    code, stdout, err = run(capsys, "rerun", str(good), str(bad))
+    assert code == 2 and not stdout and "bad.json" in err
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_phase_rejects_a_knob_that_is_no_ability_parameter(capsys):
+    for vary in ("p", "tau", "a", "sigma1"):
+        code, stdout, err = run(capsys, "phase", "--vary", vary, "--trials", "200")
+        assert code == 2 and not stdout and f"cannot vary {vary!r}" in err
 
 
 def test_seed_default_is_fixed(capsys, tmp_path):

@@ -51,6 +51,14 @@ def test_merge_uniform_picks():
         merge_uniform(wa, wb, ("A", "X"))
 
 
+@pytest.mark.parametrize("pick", [("A",), "A", (), "ABX", ("A", "B", "B"), ("A", "b"), ("AB", "A")])
+def test_merge_uniform_needs_exactly_two_picks(pick):
+    # One entry used to raise IndexError and a third entry was ignored.
+    w = Worker(linear_profile(0.5, uniform_noise(0.1)), linear_profile(0.4, uniform_noise(0.1)))
+    with pytest.raises(ParameterError, match="exactly two entries"):
+        merge_uniform(w, w, pick)
+
+
 def test_per_subskill_breakpoint_plan(fixture_spec):
     # action level: the linear mean 1 - 0.78 s beats the constant 0.8
     # exactly below s = (1 - 0.8) / 0.78

@@ -156,6 +156,26 @@ def test_verify_phase_zero_noise_jump():
     assert lo.value == 0.0 and hi.value == 1.0
 
 
+@pytest.mark.parametrize("vary", ["p", "tau", "a", "sigma1", "c1", "a3", "beta2"])
+def test_phase_rejects_a_knob_that_is_no_ability_parameter(vary):
+    # Only the base-family knob of a level (a1 and a2 for linear levels) has a
+    # bracket to bisect; "sigma1" used to bisect a noise level over [0, 1].
+    spec = flat_spec(8, tau=0.25)
+    worker = uworker(0.9, 0.5, 0.1)
+    with pytest.raises(ParameterError, match="a1', 'a2"):
+        verify_phase_transition(spec, AVG, worker, vary, theta=0.2, config=SimConfig(trials=200))
+    with pytest.raises(ParameterError):
+        critical_ability(spec, AVG, worker, vary)
+
+
+def test_phase_varies_the_constant_level_by_its_knob():
+    spec = flat_spec(8, tau=0.25)
+    worker = Worker(linear_profile(0.9, uniform_noise(0.1)), constant_profile(0.5, uniform_noise(0.1)))
+    assert 0.0 < critical_ability(spec, AVG, worker, "c2") < 1.0
+    with pytest.raises(ParameterError, match="a1', 'c2"):
+        critical_ability(spec, AVG, worker, "a2")
+
+
 def test_verify_phase_small_instance_with_oracle():
     rng = np.random.default_rng(4)
     n = 2
