@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, ability, dataio, merging, theory
 from .ability import linear_profile, constant_profile, polynomial_profile, NoiseModel
-from .errors import NumericalError, ParameterError, ValidationError
+from .errors import JobFitError, NumericalError, ParameterError, ValidationError
 from .job import ErrorModel, JobSpec, balanced_job
 from .simulate import (
     SimConfig,
@@ -449,11 +449,15 @@ def _read_manifest(path: str) -> list[str]:
 
 
 def _cmd_rerun(args, argv) -> None:
+    """Replay each manifest in order; a failure keeps its own error class,
+    and so the exit code the replayed command exits with alone."""
     replays = [(path, _read_manifest(path)) for path in args.manifest]
     for path, replay in replays:
-        code = main(replay)
-        if code != 0:
-            raise ParameterError(f"replaying {path!r} failed with exit code {code}")
+        replayed = _build_parser().parse_args(replay)
+        try:
+            replayed.run(replayed, replay)
+        except JobFitError as exc:
+            raise type(exc)(f"replaying {path!r}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,9 @@ draw per double.  Row a of a section therefore starts at the section's
 offset plus ``a*2n`` (``a`` for beta), and a block of rows is read by
 advancing the seeded stream there.  The engine runs each chunk in blocks
 of :data:`BLOCK_TRIALS` trials, so its working set is a block, not a
-chunk; the block size changes no bit of any result.
+chunk; the block size changes no bit of any result.  ``estimate_many``
+reuses the integer success counts of its previous call for the workers
+that call evaluated on the same draws, which changes no bit either.
 """
 
 from __future__ import annotations
@@ -191,27 +193,45 @@ def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) 
     return SimEstimate(p, stderr, ci, trials, seed)
 
 
+# The success counts of the most recent estimate_many call, as (draws key,
+# {(worker, tau): successes}).  A call reads it once and replaces it whole.
+_carry: tuple = (None, {})
+
+
 def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig | None = None,
                   taus=None, _tag: int = 0) -> list[SimEstimate]:
     """P for every (worker, tau) pair, worker-major, all on the same draws.
 
     Each chunk is drawn once per call; equal workers are evaluated once
     and one error vector is counted against every tau (None means the
-    job's own tau).  Each estimate equals a call with that worker and tau
-    alone, bit for bit.
+    job's own tau).  A (worker, tau) pair that the previous call counted
+    on the same draws (seed, tag, trials, model and job content) takes
+    that call's integer count instead of being evaluated again.  Each
+    estimate equals a call with that worker and tau alone, bit for bit.
     """
+    global _carry
     config = config or SimConfig()
     workers = list(workers)
-    taus = [spec.tau if t is None else float(t) for t in ([None] if taus is None else taus)]
-    distinct = list(dict.fromkeys(workers))
-    if not distinct:
+    if not workers:
         raise ParameterError("need at least one worker")
-    successes = [[0] * len(taus) for _ in distinct]
-    for i, err in _shared_draw_errors(distinct, spec, model, config.trials, config.seed, _tag):
-        successes[i] = [k + int((err <= tau).sum()) for k, tau in zip(successes[i], taus)]
-        del err  # a row view would keep its chunk's error array alive through the next chunk
-    row_of = dict(zip(distinct, successes))
-    return [_binomial_estimate(k, config.trials, config.seed, config.ci_level) for w in workers for k in row_of[w]]
+    taus = [float(spec.tau if t is None else t) for t in ([None] if taus is None else taus)]
+    key = (config.seed, _tag, config.trials, model, spec.tasks,
+           spec.s1.tobytes(), spec.s2.tobytes(), spec.w.tobytes(), spec.v.tobytes())
+    carry_key, carried = _carry
+    if carry_key != key:
+        carried = {}
+    successes = {(w, t): carried.get((w, t)) for w in workers for t in taus}
+    todo = list(dict.fromkeys(w for (w, _), k in successes.items() if k is None))
+    distinct_taus = list(dict.fromkeys(taus))
+    successes.update(((w, t), 0) for w in todo for t in distinct_taus)
+    if todo:
+        for i, err in _shared_draw_errors(todo, spec, model, config.trials, config.seed, _tag):
+            for t in distinct_taus:
+                successes[todo[i], t] += int((err <= t).sum())
+            del err  # a row view would keep its chunk's error array alive through the next chunk
+    _carry = (key, successes)
+    return [_binomial_estimate(successes[w, t], config.trials, config.seed, config.ci_level)
+            for w in workers for t in taus]
 
 
 def estimate_success_probability(

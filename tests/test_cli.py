@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jobfit.ability import linear_profile, uniform_noise
+from jobfit import simulate
 from jobfit.cli import SWEEP_COLUMNS, main
 from jobfit.job import ErrorModel, balanced_job
 from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_many, estimate_success_probability
@@ -109,7 +110,7 @@ def test_sweep_heatmap_json(capsys, tmp_path):
 
 @pytest.mark.parametrize("axes", [("a1", "0:0.6:2", "a2", "0:0.6:3"), ("a1", "0:0.6:3", "sigma", "0.1:0.4:2"),
                                   ("tau", "0.1:0.3:3", "a2", "0:0.6:2"), ("a1", "0:0.6:2", "tau", "0.1:0.3:3")])
-def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes):
+def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes, monkeypatch):
     # Row-major cells, each equal to its own estimate on the same seed.
     p1, g1, p2, g2 = axes
     out = tmp_path / "heat.json"
@@ -130,6 +131,8 @@ def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes):
                     tau = v
                 else:
                     w = apply_knob(w, name, v)
+            # Cleared so that no cell is served the counts of the CLI's own call.
+            monkeypatch.setattr(simulate, "_carry", (None, {}))
             expect.append(estimate_success_probability(w, spec, ErrorModel(), SimConfig(300, 1234), tau).value)
     assert doc["values"] == expect
 
@@ -266,6 +269,21 @@ def test_rerun_checks_every_manifest_before_replaying(capsys, tmp_path):
     code, stdout, err = run(capsys, "rerun", str(good), str(bad))
     assert code == 2 and not stdout and "bad.json" in err
     assert not (tmp_path / "e.json").exists()
+
+
+def test_rerun_keeps_the_replayed_exit_code(capsys, tmp_path):
+    # tau = 0.99 lies above every Err_avg the job attains: a numerical failure.
+    phase = ["phase", "--job", "balanced:n=6,m=6,k=2,seed=1,tau=0.99", "--trials", "500"]
+    code, _, alone = run(capsys, *phase)
+    assert code == 3 and alone.startswith("numerical failure: ")
+    cases = [(phase, 3, "numerical failure: "),
+             (["estimate", "--job", str(tmp_path / "missing.json")], 2, "error: ")]
+    for argv, want, prefix in cases:
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"argv": argv}))
+        code, stdout, err = run(capsys, "rerun", str(manifest))
+        assert code == want and not stdout
+        assert err.startswith(prefix) and str(manifest) in err
 
 
 def test_phase_rejects_a_knob_that_is_no_ability_parameter(capsys):

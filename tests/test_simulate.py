@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,11 +19,11 @@ from jobfit.ability import (
     truncnorm_var,
     uniform_noise,
 )
-from jobfit.dataio import load_fixture_job, named_worker
+from jobfit.dataio import AI_VARIANCE, load_fixture_job, named_worker
 from jobfit.errors import CapacityError, ParameterError
 from jobfit import simulate
 from jobfit.job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job
-from jobfit.merging import merge_with_trust
+from jobfit.merging import evaluate_merge_gain, merge_per_subskill, merge_with_trust
 from jobfit.simulate import (
     BLOCK_TRIALS,
     CHUNK_TRIALS,
@@ -88,11 +89,18 @@ def test_draw_independent_entries_differ():
     assert np.ptp(levels) > 1e-6
 
 
-def test_estimates_deterministic():
+def forget_counts(monkeypatch):
+    """Clear the previous call's success counts, so the next estimate_many
+    call evaluates every worker on fresh draws."""
+    monkeypatch.setattr(simulate, "_carry", (None, {}))
+
+
+def test_estimates_deterministic(monkeypatch):
     spec = tiny_spec(n=4)
     worker = linear_worker(0.5, 0.5, 0.4)
     config = SimConfig(trials=5000, seed=123)
     a = estimate_success_probability(worker, spec, AVG, config)
+    forget_counts(monkeypatch)
     b = estimate_success_probability(worker, spec, AVG, config)
     assert a == b
     ea = estimate_err_avg(worker, spec, AVG, config)
@@ -146,12 +154,13 @@ def test_truncnorm_has_no_closed_form():
     assert exact_err_avg(linear_worker(0.5, 0.5, 0.1), spec, ErrorModel(h="max")) is None
 
 
-def test_sweep_single_point_matches_estimate():
+def test_sweep_single_point_matches_estimate(monkeypatch):
     spec = tiny_spec(n=3)
     worker = linear_worker(0.4, 0.5, 0.3)
     config = SimConfig(trials=2000, seed=9)
     pts = sweep(worker, spec, AVG, "a1", [0.4], config)
     assert len(pts) == 1
+    forget_counts(monkeypatch)
     assert pts[0].estimate == estimate_success_probability(worker, spec, AVG, config)
 
 
@@ -289,7 +298,7 @@ def _many_case():
 
 
 @pytest.mark.parametrize("trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 1])
-def test_estimate_many_equals_each_worker_alone(trials):
+def test_estimate_many_equals_each_worker_alone(trials, monkeypatch):
     spec, workers = _many_case()
     config = SimConfig(trials=trials, seed=31)
     taus = [0.3, None, 0.5]
@@ -297,7 +306,9 @@ def test_estimate_many_equals_each_worker_alone(trials):
     assert len(many) == len(workers) * len(taus)
     for i, w in enumerate(workers):
         for j, tau in enumerate(taus):
+            forget_counts(monkeypatch)
             alone = estimate_success_probability(w, spec, AVG, config, tau=tau)
+            forget_counts(monkeypatch)
             assert many[i * len(taus) + j] == alone == estimate_many([w], spec, AVG, config, [tau])[0]
 
 
@@ -487,3 +498,117 @@ def test_estimate_many_holds_one_chunk_of_errors_at_a_time():
     one_chunk_mb = len(workers) * CHUNK_TRIALS * 8 / 1e6
     peak = _traced_peak_mb(lambda: estimate_many(workers, spec, AVG, SimConfig(trials=2 * CHUNK_TRIALS)))
     assert one_chunk_mb < peak < 1.5 * one_chunk_mb
+
+
+def _bits(estimates):
+    return [(e.value.hex(), e.stderr.hex(), e.ci[0].hex(), e.ci[1].hex(), e.trials, e.seed) for e in estimates]
+
+
+def _record_workers(monkeypatch):
+    """Patch _shared_draw_errors to log the worker list of every call."""
+    calls = []
+    original = simulate._shared_draw_errors
+
+    def recording(workers, *args):
+        calls.append(list(workers))
+        return original(workers, *args)
+
+    monkeypatch.setattr(simulate, "_shared_draw_errors", recording)
+    return calls
+
+
+def _carry_case():
+    spec = tiny_spec(n=3, tau=0.45)
+    workers = [linear_worker(0.3, 0.4, 0.3), linear_worker(0.5, 0.2, 0.3, p=0.4)]
+    return spec, workers, SimConfig(trials=3000, seed=5)
+
+
+@pytest.mark.parametrize("change", ["seed", "trials", "tag", "model", "tau", "job"])
+def test_each_part_of_the_draws_key_forces_a_fresh_evaluation(change, monkeypatch):
+    spec, workers, config = _carry_case()
+    args = {"spec": spec, "model": AVG, "config": config, "taus": [0.45], "_tag": 0}
+    forget_counts(monkeypatch)
+    estimate_many(workers, **args)
+    args.update({
+        "seed": {"config": SimConfig(trials=3000, seed=6)},
+        "trials": {"config": SimConfig(trials=3001, seed=5)},
+        "tag": {"_tag": 1},
+        "model": {"model": MAX},
+        "tau": {"taus": [0.5]},
+        "job": {"spec": JobSpec(spec.s1, spec.s2[::-1], spec.tasks, spec.w, spec.v, spec.tau)},
+    }[change])
+    calls = _record_workers(monkeypatch)
+    changed = estimate_many(workers, **args)
+    assert calls == [workers]
+    forget_counts(monkeypatch)
+    assert _bits(changed) == _bits(estimate_many(workers, **args))
+
+
+def test_a_repeat_on_the_same_draws_evaluates_only_new_workers(monkeypatch):
+    spec, workers, config = _carry_case()
+    newcomer = linear_worker(0.7, 0.6, 0.2)
+    forget_counts(monkeypatch)
+    estimate_many(workers, spec, AVG, config, [0.45, None])
+    calls = _record_workers(monkeypatch)
+    # ci_level is no part of the key: every estimate is rebuilt from its count.
+    repeat = SimConfig(trials=3000, seed=5, ci_level=0.9)
+    served = estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None])
+    assert calls == [[newcomer]]
+    assert all(type(k) is int for k in simulate._carry[1].values())
+    forget_counts(monkeypatch)
+    assert _bits(served) == _bits(estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None]))
+    assert calls[1] == [workers[1], newcomer, workers[0]]
+
+
+def test_threads_alternating_seeds_get_their_single_thread_results(monkeypatch):
+    spec, workers, _ = _carry_case()
+    others = [linear_worker(a, 0.5, 0.3) for a in (0.2, 0.4, 0.6, 0.8)]
+    seeds = (11, 12)
+
+    def cells(seed, turn=lambda: None):
+        config = SimConfig(trials=2000, seed=seed)
+        out = []
+        for other in others:
+            turn()
+            out.append(_bits(estimate_many([workers[0], other], spec, AVG, config)))
+        return out
+
+    forget_counts(monkeypatch)
+    alone = {seed: cells(seed) for seed in seeds}
+    turns = threading.Barrier(len(seeds))
+    got = {}
+    threads = [threading.Thread(target=lambda s=seed: got.update({s: cells(s, turns.wait)})) for seed in seeds]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == alone
+
+
+def test_merge_map_cells_served_by_carried_counts_equal_fresh_cells(monkeypatch):
+    # A 3x3 per-subskill map and a trust row, cell by cell on one seed: the
+    # human's counts carry from cell to cell and change no bit of any cell.
+    spec, human = load_fixture_job(), named_worker("human")
+    noise = truncnorm_var(AI_VARIANCE / 2)
+    trust_partner = Worker(linear_profile(0.1, noise), constant_profile(0.7, noise))
+    cells = [(Worker(linear_profile(a, noise), constant_profile(c, noise)), None)
+             for a in (0.0, 0.2, 0.4) for c in (0.6, 0.8, 1.0)]
+    cells += [(trust_partner, trust) for trust in (0.8, 1.4, 2.0)]
+    config = SimConfig(trials=2000, seed=17)
+
+    def gain(other, trust):
+        if trust is None:
+            merged, _ = merge_per_subskill(human, other, spec)
+        else:
+            merged, _ = merge_with_trust(human, other, spec, trust)
+        res = evaluate_merge_gain({"p1": human, "p2": other}, {"merge": merged}, spec, FIXTURE_MODEL, config)
+        return merged, {name: est.value.hex() for name, est in res.table.items()}, res.delta.hex()
+
+    forget_counts(monkeypatch)
+    calls = _record_workers(monkeypatch)
+    carried = [gain(other, trust) for other, trust in cells]
+    assert sum(human in workers for workers in calls) == 1
+    assert any("select" in (m.alpha1.family, m.alpha2.family) for m, _, _ in carried[-3:])
+    for (other, trust), cell in zip(cells, carried):
+        forget_counts(monkeypatch)
+        assert gain(other, trust) == cell
