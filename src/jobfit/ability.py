@@ -185,42 +185,83 @@ def quantile(profile: AbilityProfile, s, q):
 
     ``s`` and ``q`` broadcast against each other and are never written to.
     The result is elementwise in (s, q).  For zero noise the distribution
-    is a point mass at E(s) and every quantile equals it.
+    is a point mass at E(s) and every quantile equals it.  A select
+    profile transforms each source only where that source is chosen.
     """
     s_arr = np.asarray(s, dtype=float)
     q_arr = np.asarray(q, dtype=float)
-    if profile.family == SELECT:
-        mask = _select_mask(profile, s_arr)
-        xa = quantile(profile.sources[0], s_arr, q_arr)
-        xb = quantile(profile.sources[1], s_arr, q_arr)
-        x = np.where(mask, xb, xa)
+    x = np.empty(np.broadcast_shapes(s_arr.shape, q_arr.shape))
+    if profile.family != SELECT:
+        _transform(profile, _terms(profile, s_arr), q_arr, x)
         return x if x.shape else float(x)
+    # Lay x out as (outer, inner) with s constant along outer, so that each
+    # source transforms only the inner columns where it is chosen.
+    k = x.ndim - s_arr.ndim + next((i for i, d in enumerate(s_arr.shape) if d != 1), s_arr.ndim)
+    shape = (math.prod(x.shape[:k]), math.prod(x.shape[k:]))
 
+    def columns(a):
+        """An array of s's shape as one row of the inner columns."""
+        return np.broadcast_to(a, (1,) * k + x.shape[k:]).reshape(1, shape[1])
+
+    q2, x2 = np.broadcast_to(q_arr, x.shape).reshape(shape), x.reshape(shape)
+    for source, chosen in _select_sources(profile, s_arr, True):
+        cols = np.flatnonzero(columns(chosen))
+        if cols.size:
+            out = q2[:, cols]
+            _transform(source, [columns(term)[:, cols] for term in _terms(source, s_arr)], out, out)
+            x2[:, cols] = out
+    return x if x.shape else float(x)
+
+
+def _select_sources(profile: AbilityProfile, s_arr, chosen) -> list:
+    """(base profile, where it is chosen over s) for every source that a
+    select profile, nested or not, may pick within ``chosen``."""
+    if profile.family != SELECT:
+        return [(profile, chosen)]
+    pick_b = _select_mask(profile, s_arr)
+    return (_select_sources(profile.sources[0], s_arr, chosen & ~pick_b)
+            + _select_sources(profile.sources[1], s_arr, chosen & pick_b))
+
+
+def _terms(profile: AbilityProfile, s_arr) -> tuple:
+    """The per-difficulty terms of the transform, over all of s:
+    (e,) without noise, (e, half) for uniform noise, (e, pa, pb - pa)
+    for truncated-normal noise."""
     e = np.asarray(mean_ability(profile, s_arr), dtype=float)
     sigma = profile.noise.sigma
-    # One fresh output, transformed in place; each step only swaps the
-    # operands of a commutative op, so the bits equal the textbook formulas
-    # e + half*(2q - 1) and e + sigma*ndtri(pa + q*(pb - pa)).
-    x = np.empty(np.broadcast_shapes(e.shape, q_arr.shape))
     if sigma == 0.0:
-        x[...] = e
+        return (e,)
+    if profile.noise.kind == UNIFORM:
+        return (e, np.minimum(e, 1.0 - e) * sigma)
+    with np.errstate(over="ignore"):
+        pa = ndtr((0.0 - e) / sigma)
+        pb = ndtr((1.0 - e) / sigma)
+    return (e, pa, pb - pa)
+
+
+def _transform(profile: AbilityProfile, terms, q, out) -> None:
+    """Write the quantiles at q into ``out`` (which may be q itself).
+
+    One output, transformed in place; each step only swaps the operands of
+    a commutative op, so the bits equal the textbook formulas
+    e + half*(2q - 1) and e + sigma*ndtri(pa + q*(pb - pa)), whichever
+    elements ``terms`` and q are gathered from."""
+    if profile.noise.sigma == 0.0:
+        out[...] = terms[0]
     elif profile.noise.kind == UNIFORM:
-        half = np.minimum(e, 1.0 - e) * sigma
-        np.multiply(q_arr, 2.0, out=x)
-        x -= 1.0
-        x *= half
-        x += e
+        e, half = terms
+        np.multiply(q, 2.0, out=out)
+        out -= 1.0
+        out *= half
+        out += e
     else:
-        with np.errstate(over="ignore"):
-            pa = ndtr((0.0 - e) / sigma)
-            pb = ndtr((1.0 - e) / sigma)
-        np.multiply(q_arr, pb - pa, out=x)
-        x += pa
-        ndtri(x, out=x)
-        x *= sigma
-        x += e
-    np.clip(x, 0.0, 1.0, out=x)
-    return x if x.shape else float(x)
+        e, pa, span = terms
+        np.multiply(q, span, out=out)
+        out += pa
+        ndtri(out, out=out)
+        out *= profile.noise.sigma
+        out += e
+    np.clip(out, 0.0, 1.0, out=out)
 
 
 def cdf(profile: AbilityProfile, s, x):

@@ -15,16 +15,26 @@ draw per double.  Row a of a section therefore starts at the section's
 offset plus ``a*2n`` (``a`` for beta), and a block of rows is read by
 advancing the seeded stream there.  The engine runs each chunk in blocks
 of :data:`BLOCK_TRIALS` trials, so its working set is a block, not a
-chunk; the block size changes no bit of any result.  ``estimate_many``
-reuses the integer success counts of its previous call for the workers
-that call evaluated on the same draws, which changes no bit either.
+chunk; the block size changes no bit of any result.
+
+Calls on the same draws (seed, stream tag, trials, model and job
+content) share a carry, kept from the most recent call and replaced
+whole when a call ends.  It holds that call's integer success counts,
+which ``estimate_many`` reuses for the (worker, tau) pairs it counted,
+and level columns: the (trials, n) errors of one (level, profile, p),
+which depend on nothing but the draws.  A call keeps a column it uses
+only if the previous call used it too (a worker served from the counts
+counts as used), and reads kept columns instead of computing them; a
+block whose columns all come from the carry draws no uniforms.  Kept
+columns never exceed ``CHUNK_TRIALS * 2n`` doubles, the size of one
+chunk's ``u`` section.  Neither part of the carry changes any bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -153,29 +163,48 @@ def draw_error_matrix(worker: Worker, spec: JobSpec, rng: np.random.Generator) -
                      in enumerate(((worker.alpha1, spec.s1), (worker.alpha2, spec.s2)))], axis=-1)
 
 
+def _column_keys(workers) -> dict:
+    """The (level column, profile, p) keys of the workers' level columns,
+    in order of first use."""
+    return dict.fromkeys((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
+
+
 def _shared_draw_errors(workers: list[Worker], spec: JobSpec, model: ErrorModel,
-                        trials: int, seed: int, tag: int):
+                        trials: int, seed: int, tag: int, carried=None, keep=None):
     """Yield ``(i, job errors)`` per chunk for every worker i, all workers on
     the chunk's one draw.  Each chunk runs in blocks of :data:`BLOCK_TRIALS`
     trials that write into one (workers, count) error array; within a
     block, a level column that several workers share (same level, profile
-    and p) is computed once and kept only until its last use."""
+    and p) is computed once and kept only until its last use.
+
+    ``carried`` and ``keep`` map column keys to whole (trials, n) columns:
+    a carried column is read instead of computed, and a computed column
+    whose key is in ``keep`` is also written there.  A block that needs no
+    column beyond the carried ones draws no uniforms."""
+    carried, keep = carried or {}, keep or {}
     evaluate = make_error_evaluator(spec, model)
     uses = Counter((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
-    need_sel = any(w.p > 0.0 for w in workers)
+    missing = [key for key in uses if key not in carried]
+    need_sel = any(p > 0.0 for _, _, p in missing)
     for chunk, count in _chunk_streams(trials):
         err = np.empty((len(workers), count))
         for a in range(0, count, BLOCK_TRIALS):
             b = min(a + BLOCK_TRIALS, count)
-            u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel, rows=(a, b))
-            left, memo = Counter(uses), {}
+            rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
+            if missing:
+                u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel, rows=(a, b))
+            left, memo = Counter(uses), {key: column[rows] for key, column in carried.items()}
+            # Level-major, so that each level column is contiguous; every
+            # worker overwrites both columns before its evaluation.
+            zeta = np.empty((2, b - a, spec.n)).transpose(1, 2, 0)
             for i, w in enumerate(workers):
-                zeta = np.empty((b - a, spec.n, 2))
                 for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
                     key = (col, prof, w.p)
                     errs = memo.pop(key, None)
                     if errs is None:
                         errs = _level_errors(prof, s, w.p, col, u, beta, sel)
+                        if key in keep:
+                            keep[key][rows] = errs
                     left[key] -= 1
                     if left[key]:
                         memo[key] = errs
@@ -193,9 +222,40 @@ def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) 
     return SimEstimate(p, stderr, ci, trials, seed)
 
 
-# The success counts of the most recent estimate_many call, as (draws key,
-# {(worker, tau): successes}).  A call reads it once and replaces it whole.
-_carry: tuple = (None, {})
+@dataclass(frozen=True)
+class _Carry:
+    """What the most recent call leaves for the next call on its draws:
+    the draws key, the success count of each (worker, tau) it counted, the
+    column keys it used and the level columns it kept."""
+
+    key: tuple | None = None
+    counts: dict = field(default_factory=dict)
+    used: frozenset = frozenset()
+    columns: dict = field(default_factory=dict)
+
+
+# A call reads the carry once and replaces it whole when it ends.
+_carry = _Carry()
+
+
+def _carry_for(spec: JobSpec, model: ErrorModel, config: SimConfig, tag: int) -> _Carry:
+    """The carry if the most recent call ran on these draws, else an empty
+    carry for them."""
+    key = (config.seed, tag, config.trials, model, spec.tasks,
+           spec.s1.tobytes(), spec.s2.tobytes(), spec.w.tobytes(), spec.v.tobytes())
+    carry = _carry
+    return carry if carry.key == key else _Carry(key)
+
+
+def _plan_columns(carry: _Carry, used: dict, todo: list[Worker], trials: int, n: int):
+    """The carried columns a call uses, and fresh (trials, n) arrays for
+    the columns it computes whose keys the previous call also used, as
+    many as fit beside the carried ones in ``CHUNK_TRIALS * 2n`` doubles.
+    Both go into the next carry."""
+    carried = {key: carry.columns[key] for key in used if key in carry.columns}
+    room = 2 * CHUNK_TRIALS // trials - len(carried)
+    fresh = [key for key in _column_keys(todo) if key in carry.used and key not in carried][:room]
+    return carried, {key: np.empty((trials, n)) for key in fresh}
 
 
 def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig | None = None,
@@ -206,8 +266,10 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     and one error vector is counted against every tau (None means the
     job's own tau).  A (worker, tau) pair that the previous call counted
     on the same draws (seed, tag, trials, model and job content) takes
-    that call's integer count instead of being evaluated again.  Each
-    estimate equals a call with that worker and tau alone, bit for bit.
+    that call's integer count instead of being evaluated again, and the
+    level columns the carry holds are read instead of computed (see the
+    module docstring).  Each estimate equals a call with that worker and
+    tau alone, bit for bit.
     """
     global _carry
     config = config or SimConfig()
@@ -215,21 +277,19 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     if not workers:
         raise ParameterError("need at least one worker")
     taus = [float(spec.tau if t is None else t) for t in ([None] if taus is None else taus)]
-    key = (config.seed, _tag, config.trials, model, spec.tasks,
-           spec.s1.tobytes(), spec.s2.tobytes(), spec.w.tobytes(), spec.v.tobytes())
-    carry_key, carried = _carry
-    if carry_key != key:
-        carried = {}
-    successes = {(w, t): carried.get((w, t)) for w in workers for t in taus}
+    carry = _carry_for(spec, model, config, _tag)
+    successes = {(w, t): carry.counts.get((w, t)) for w in workers for t in taus}
     todo = list(dict.fromkeys(w for (w, _), k in successes.items() if k is None))
     distinct_taus = list(dict.fromkeys(taus))
     successes.update(((w, t), 0) for w in todo for t in distinct_taus)
+    used = _column_keys(workers)
+    carried, keep = _plan_columns(carry, used, todo, config.trials, spec.n)
     if todo:
-        for i, err in _shared_draw_errors(todo, spec, model, config.trials, config.seed, _tag):
+        for i, err in _shared_draw_errors(todo, spec, model, config.trials, config.seed, _tag, carried, keep):
             for t in distinct_taus:
                 successes[todo[i], t] += int((err <= t).sum())
             del err  # a row view would keep its chunk's error array alive through the next chunk
-    _carry = (key, successes)
+    _carry = _Carry(carry.key, successes, frozenset(used), {**carried, **keep})
     return [_binomial_estimate(successes[w, t], config.trials, config.seed, config.ci_level)
             for w in workers for t in taus]
 
@@ -283,13 +343,21 @@ def estimate_err_avg(
     config: SimConfig | None = None,
     _tag: int = 0,
 ) -> ErrAvgResult:
-    """Monte Carlo mean of the job error; exact value attached when available."""
+    """Monte Carlo mean of the job error; exact value attached when available.
+
+    It shares the level columns of the carry with ``estimate_many`` and
+    leaves the carried success counts as they are."""
+    global _carry
     config = config or SimConfig()
+    carry = _carry_for(spec, model, config, _tag)
+    used = _column_keys([worker])
+    carried, keep = _plan_columns(carry, used, [worker], config.trials, spec.n)
     total = 0.0
     total_sq = 0.0
-    for _, err in _shared_draw_errors([worker], spec, model, config.trials, config.seed, _tag):
+    for _, err in _shared_draw_errors([worker], spec, model, config.trials, config.seed, _tag, carried, keep):
         total += float(err.sum())
         total_sq += float((err**2).sum())
+    _carry = _Carry(carry.key, carry.counts, frozenset(used), {**carried, **keep})
     nt = config.trials
     mean = total / nt
     var = max(0.0, (total_sq - nt * mean * mean) / max(1, nt - 1))

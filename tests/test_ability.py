@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -304,3 +305,56 @@ def test_quantile_in_place_equals_reference_bits(noise):
             got = quantile(prof, s, q)
             assert same_bits(got, reference_quantile(prof, s, q)), (prof.family, np.shape(s), np.shape(q))
             assert np.array_equal(s, s_before) and np.array_equal(q, q_before)
+
+
+def select_sources():
+    noises = [uniform_noise(0.4), truncnorm_noise(0.3), uniform_noise(0.0), truncnorm_noise(0.0)]
+    return [prof for noise in noises for prof in (
+        constant_profile(0.55, noise),
+        linear_profile(0.3, noise, c=0.9),
+        polynomial_profile(1.7, noise),
+        piecewise_profile([(0.0, 1.0), (0.4, 0.75), (1.0, 0.1)], noise),
+    )]
+
+
+def select_shapes():
+    # (s, q) as the engine's blocks, draw_error_matrix, both branches of
+    # brute_force_success_probability, a vector and a scalar pass them.
+    rng = np.random.default_rng(5)
+    n, res = 6, 50
+    s = np.linspace(0.05, 0.95, n)
+    q = rng.random((64, n))
+    q[0], q[1] = 0.0, 1.0
+    return [(s[None, :], q), (s[None, :], rng.random((1, n))), (0.7, (np.arange(res) + 0.5) / res),
+            (s[None, :], ((np.arange(res) + 0.5) / res)[:, None]), (s, rng.random(n)), (0.2, 0.35)]
+
+
+def test_select_quantile_transforms_each_source_only_where_chosen_same_bits():
+    sources = select_sources()
+    mixed = 0
+    for pa, pb in itertools.product(sources, repeat=2):
+        for prof in (select_profile(pa, pb, 1.1), select_profile(select_profile(pb, pa, 0.9), pa, 1.2)):
+            for s, q in select_shapes():
+                got = quantile(prof, s, q)
+                assert same_bits(got, reference_quantile(prof, s, q)), (pa, pb, np.shape(s), np.shape(q))
+        mixed += 0 < _select_mask(select_profile(pa, pb, 1.1), np.linspace(0.05, 0.95, 6)).sum() < 6
+    assert mixed > len(sources) ** 2 // 4
+
+
+def test_select_quantile_skips_the_unchosen_source(monkeypatch):
+    # A truncated-normal source goes through ndtri once per element it
+    # transforms, so a select profile costs one ndtri per element in all.
+    from jobfit import ability
+
+    calls = []
+
+    def counting_ndtri(x, out=None):
+        calls.append(np.size(x))
+        return ndtri(x, out=out)
+
+    monkeypatch.setattr(ability, "ndtri", counting_ndtri)
+    prof = select_profile(linear_profile(0.3, truncnorm_noise(0.3)), constant_profile(0.6, truncnorm_noise(0.2)))
+    s = np.linspace(0.05, 0.95, 6)[None, :]
+    picks_b = int(_select_mask(prof, s).sum())
+    quantile(prof, s, np.random.default_rng(1).random((100, 6)))
+    assert 0 < picks_b < 6 and calls == [100 * (6 - picks_b), 100 * picks_b]

@@ -131,8 +131,8 @@ def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes, monk
                     tau = v
                 else:
                     w = apply_knob(w, name, v)
-            # Cleared so that no cell is served the counts of the CLI's own call.
-            monkeypatch.setattr(simulate, "_carry", (None, {}))
+            # Cleared so that no cell is served the counts or columns of the CLI's own call.
+            monkeypatch.setattr(simulate, "_carry", simulate._Carry())
             expect.append(estimate_success_probability(w, spec, ErrorModel(), SimConfig(300, 1234), tau).value)
     assert doc["values"] == expect
 

@@ -21,7 +21,7 @@ from jobfit.ability import (
 )
 from jobfit.dataio import AI_VARIANCE, load_fixture_job, named_worker
 from jobfit.errors import CapacityError, ParameterError
-from jobfit import simulate
+from jobfit import simulate, theory
 from jobfit.job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job
 from jobfit.merging import evaluate_merge_gain, merge_per_subskill, merge_with_trust
 from jobfit.simulate import (
@@ -90,9 +90,9 @@ def test_draw_independent_entries_differ():
 
 
 def forget_counts(monkeypatch):
-    """Clear the previous call's success counts, so the next estimate_many
-    call evaluates every worker on fresh draws."""
-    monkeypatch.setattr(simulate, "_carry", (None, {}))
+    """Clear the previous call's success counts and level columns, so the
+    next call evaluates every worker on fresh draws."""
+    monkeypatch.setattr(simulate, "_carry", simulate._Carry())
 
 
 def test_estimates_deterministic(monkeypatch):
@@ -517,6 +517,24 @@ def _record_workers(monkeypatch):
     return calls
 
 
+def _spy(monkeypatch, name):
+    """Patch simulate.<name> to log the positional arguments of every call."""
+    calls = []
+    original = getattr(simulate, name)
+
+    def spying(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, name, spying)
+    return calls
+
+
+def _column_calls(calls, col, profile, p=0.0):
+    """How many of the logged _level_errors calls computed this column."""
+    return sum(1 for prof, _, pp, c, *_ in calls if (c, prof, pp) == (col, profile, p))
+
+
 def _carry_case():
     spec = tiny_spec(n=3, tau=0.45)
     workers = [linear_worker(0.3, 0.4, 0.3), linear_worker(0.5, 0.2, 0.3, p=0.4)]
@@ -529,6 +547,10 @@ def test_each_part_of_the_draws_key_forces_a_fresh_evaluation(change, monkeypatc
     args = {"spec": spec, "model": AVG, "config": config, "taus": [0.45], "_tag": 0}
     forget_counts(monkeypatch)
     estimate_many(workers, **args)
+    # A second tau on the same draws evaluates every worker again and keeps
+    # its four level columns, since the first call used them too.
+    estimate_many(workers, **{**args, "taus": [0.4]})
+    assert len(simulate._carry.columns) == 4
     args.update({
         "seed": {"config": SimConfig(trials=3000, seed=6)},
         "trials": {"config": SimConfig(trials=3001, seed=5)},
@@ -538,8 +560,15 @@ def test_each_part_of_the_draws_key_forces_a_fresh_evaluation(change, monkeypatc
         "job": {"spec": JobSpec(spec.s1, spec.s2[::-1], spec.tasks, spec.w, spec.v, spec.tau)},
     }[change])
     calls = _record_workers(monkeypatch)
+    columns, draws = _spy(monkeypatch, "_level_errors"), _spy(monkeypatch, "_chunk_uniforms")
     changed = estimate_many(workers, **args)
     assert calls == [workers]
+    if change == "tau":
+        # tau keys the counts, not the draws: every column is read from the
+        # carry, so no column is computed and no uniform is drawn.
+        assert columns == [] and draws == [] and len(simulate._carry.columns) == 4
+    else:
+        assert len(columns) == 4 and len(draws) == 1 and simulate._carry.columns == {}
     forget_counts(monkeypatch)
     assert _bits(changed) == _bits(estimate_many(workers, **args))
 
@@ -554,7 +583,7 @@ def test_a_repeat_on_the_same_draws_evaluates_only_new_workers(monkeypatch):
     repeat = SimConfig(trials=3000, seed=5, ci_level=0.9)
     served = estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None])
     assert calls == [[newcomer]]
-    assert all(type(k) is int for k in simulate._carry[1].values())
+    assert all(type(k) is int for k in simulate._carry.counts.values())
     forget_counts(monkeypatch)
     assert _bits(served) == _bits(estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None]))
     assert calls[1] == [workers[1], newcomer, workers[0]]
@@ -585,6 +614,18 @@ def test_threads_alternating_seeds_get_their_single_thread_results(monkeypatch):
     assert got == alone
 
 
+def _merge_gain(human, spec, config):
+    """A merge cell as (merged worker, P of each worker by float.hex, delta)."""
+    def gain(other, trust):
+        if trust is None:
+            merged, _ = merge_per_subskill(human, other, spec)
+        else:
+            merged, _ = merge_with_trust(human, other, spec, trust)
+        res = evaluate_merge_gain({"p1": human, "p2": other}, {"merge": merged}, spec, FIXTURE_MODEL, config)
+        return merged, {name: est.value.hex() for name, est in res.table.items()}, res.delta.hex()
+    return gain
+
+
 def test_merge_map_cells_served_by_carried_counts_equal_fresh_cells(monkeypatch):
     # A 3x3 per-subskill map and a trust row, cell by cell on one seed: the
     # human's counts carry from cell to cell and change no bit of any cell.
@@ -594,16 +635,7 @@ def test_merge_map_cells_served_by_carried_counts_equal_fresh_cells(monkeypatch)
     cells = [(Worker(linear_profile(a, noise), constant_profile(c, noise)), None)
              for a in (0.0, 0.2, 0.4) for c in (0.6, 0.8, 1.0)]
     cells += [(trust_partner, trust) for trust in (0.8, 1.4, 2.0)]
-    config = SimConfig(trials=2000, seed=17)
-
-    def gain(other, trust):
-        if trust is None:
-            merged, _ = merge_per_subskill(human, other, spec)
-        else:
-            merged, _ = merge_with_trust(human, other, spec, trust)
-        res = evaluate_merge_gain({"p1": human, "p2": other}, {"merge": merged}, spec, FIXTURE_MODEL, config)
-        return merged, {name: est.value.hex() for name, est in res.table.items()}, res.delta.hex()
-
+    gain = _merge_gain(human, spec, SimConfig(trials=2000, seed=17))
     forget_counts(monkeypatch)
     calls = _record_workers(monkeypatch)
     carried = [gain(other, trust) for other, trust in cells]
@@ -612,3 +644,113 @@ def test_merge_map_cells_served_by_carried_counts_equal_fresh_cells(monkeypatch)
     for (other, trust), cell in zip(cells, carried):
         forget_counts(monkeypatch)
         assert gain(other, trust) == cell
+
+
+def test_merge_row_reads_carried_columns_and_equals_fresh_cells(monkeypatch):
+    # A 9-cell per-subskill row (one assistant decision level) and a 3-cell
+    # trust row on one seed.  Its assistant decision level and the merged
+    # decision level that equals the human's are each computed at most
+    # twice (in the first cell and, kept, in the second), not in every cell.
+    spec, human = load_fixture_job(), named_worker("human")
+    noise = truncnorm_var(AI_VARIANCE / 2)
+    decision = linear_profile(0.1, noise)
+    cells = [(Worker(decision, constant_profile(c, noise)), None) for c in np.linspace(0.6, 1.0, 9)]
+    cells += [(Worker(decision, constant_profile(0.7, noise)), trust) for trust in (0.8, 1.1, 1.4)]
+    gain = _merge_gain(human, spec, SimConfig(trials=BLOCK_TRIALS // 2, seed=23))
+
+    forget_counts(monkeypatch)
+    computed = _spy(monkeypatch, "_level_errors")
+    row = [gain(other, None) for other, _ in cells[:9]]
+    assert all(merged.alpha1 == human.alpha1 for merged, _, _ in row)
+    assert _column_calls(computed, 0, decision) == 2
+    assert _column_calls(computed, 0, human.alpha1) == 2
+    carried = row + [gain(other, trust) for other, trust in cells[9:]]
+    assert any(m.alpha2.family == "select" for m, _, _ in carried[9:])
+    assert _column_calls(computed, 0, decision) == 2
+
+    fresh = []
+    for other, trust in cells:
+        forget_counts(monkeypatch)
+        fresh.append(gain(other, trust))
+    assert carried == fresh
+    assert _column_calls(computed, 0, decision) == 2 + len(cells)
+
+
+def test_err_avg_bisection_reads_the_unchanged_level_and_equals_fresh_steps(monkeypatch):
+    # critical_ability bisects a1 on [0, 1] to 1e-6: two bracket ends and
+    # 20 halvings, 22 Monte Carlo Err_avg calls on one seed.  Only a1 moves,
+    # so the action level is computed twice, not in every step.
+    spec, human = load_fixture_job(), named_worker("human")
+    config = SimConfig(trials=BLOCK_TRIALS // 2, seed=29)
+    computed = _spy(monkeypatch, "_level_errors")
+
+    def bisect(fresh):
+        steps = []
+
+        def err_avg(*args, **kwargs):
+            if fresh:
+                forget_counts(monkeypatch)
+            result = estimate_err_avg(*args, **kwargs)
+            steps.append(_bits([result.estimate]))
+            return result
+
+        monkeypatch.setattr(theory, "estimate_err_avg", err_avg)
+        forget_counts(monkeypatch)
+        del computed[:]
+        critical = theory.critical_ability(spec, FIXTURE_MODEL, human, "a1", config=config)
+        return critical.hex(), steps, _column_calls(computed, 1, human.alpha2)
+
+    carried, fresh = bisect(False), bisect(True)
+    assert len(carried[1]) == 22
+    assert carried[:2] == fresh[:2]
+    assert (carried[2], fresh[2]) == (2, 22)
+
+
+def test_kept_columns_never_exceed_one_chunk_of_uniforms(monkeypatch):
+    # A 41-point sweep repeated at another tau evaluates all 41 workers
+    # again, and all 42 of their columns recur; the carry keeps only as
+    # many as fit in CHUNK_TRIALS * 2n doubles.
+    spec = tiny_spec(n=3)
+    human = linear_worker(0.3, 0.4, 0.3)
+    config = SimConfig(trials=20_000, seed=31)
+    grid = np.linspace(0.0, 1.0, 41)
+    forget_counts(monkeypatch)
+    sweep(human, spec, AVG, "a1", grid, config, tau=0.4)
+    again = sweep(human, spec, AVG, "a1", grid, config, tau=0.5)
+    kept = sum(column.nbytes for column in simulate._carry.columns.values())
+    assert 0 < kept <= CHUNK_TRIALS * 2 * spec.n * 8
+    forget_counts(monkeypatch)
+    assert again == sweep(human, spec, AVG, "a1", grid, config, tau=0.5)
+
+
+@pytest.mark.parametrize("trials", [3000, CHUNK_TRIALS + 1000])
+def test_repeated_err_avg_reads_its_carried_columns(trials, monkeypatch):
+    # At 3,000 trials both columns are kept and the third call draws no
+    # uniforms; past one chunk only one column fits, and it spans two chunks.
+    spec, worker = tiny_spec(n=3), linear_worker(0.4, 0.6, 0.3, p=0.3)
+    config = SimConfig(trials=trials, seed=37)
+    forget_counts(monkeypatch)
+    fresh = estimate_err_avg(worker, spec, AVG, config).estimate
+    estimate_err_avg(worker, spec, AVG, config)
+    assert len(simulate._carry.columns) == (2 if trials < CHUNK_TRIALS else 1)
+    draws = _spy(monkeypatch, "_chunk_uniforms")
+    assert estimate_err_avg(worker, spec, AVG, config).estimate == fresh
+    assert (draws == []) == (trials < CHUNK_TRIALS)
+
+
+def test_a_worker_served_from_the_counts_lends_its_columns(monkeypatch):
+    # The human is counted in the first call only; the third call's merged-
+    # like worker shares the human's decision level, which the second call
+    # used through the carried counts, so the third call keeps that column
+    # and the fourth reads it.
+    spec, (human, _), config = _carry_case()
+    others = [linear_worker(a, 0.6, 0.2) for a in (0.1, 0.2)]
+    sharing = [Worker(human.alpha1, linear_profile(c, uniform_noise(0.2))) for c in (0.5, 0.7)]
+    forget_counts(monkeypatch)
+    computed = _spy(monkeypatch, "_level_errors")
+    got = [estimate_many([human, other], spec, AVG, config) for other in others + sharing]
+    # Computed for the human in the first call and for sharing[0] in the third.
+    assert _column_calls(computed, 0, human.alpha1) == 2
+    for other, cell in zip(others + sharing, got):
+        forget_counts(monkeypatch)
+        assert _bits(cell) == _bits(estimate_many([human, other], spec, AVG, config))
