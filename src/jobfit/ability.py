@@ -81,7 +81,7 @@ class AbilityProfile:
       select     -- (scale,); composite built by merging: at each difficulty
                     the profile behaves as source B when scale * E_B(s) >
                     E_A(s), else as source A.  Internal representation for
-                    merged workers; not serialisable.
+                    merged workers.
     """
 
     family: str
@@ -306,13 +306,6 @@ def survival(profile: AbilityProfile, s, x):
     return f if f.shape else float(f)
 
 
-def sample_ability(profile: AbilityProfile, s, rng: np.random.Generator):
-    """One draw (per difficulty) via inverse transform on the given stream."""
-    s_arr = np.asarray(s, dtype=float)
-    u = rng.uniform(size=s_arr.shape if s_arr.shape else None)
-    return quantile(profile, s_arr if s_arr.shape else float(s_arr), u)
-
-
 @dataclass(frozen=True)
 class DominanceResult:
     dominates: bool
@@ -352,28 +345,3 @@ def fit_linear_profile(points) -> tuple[float, float]:
     a = min(1.0, max(0.0, 1.0 - slope))
     resid = acc - (1.0 - (1.0 - a) * s)
     return a, float(np.mean(resid**2))
-
-
-_FAMILY_NPARAMS = {CONSTANT: 1, LINEAR: 2, POLYNOMIAL: 1}
-
-
-def profile_to_dict(profile: AbilityProfile) -> dict:
-    if profile.family == SELECT:
-        raise ParameterError("select profiles are an in-memory composite; serialise the plan instead")
-    return {
-        "family": profile.family,
-        "params": list(profile.params),
-        "noise": {"kind": profile.noise.kind, "sigma": profile.noise.sigma},
-    }
-
-
-def profile_from_dict(doc: dict) -> AbilityProfile:
-    try:
-        family = doc["family"]
-        params = tuple(float(v) for v in doc["params"])
-        noise = NoiseModel(doc["noise"]["kind"], float(doc["noise"]["sigma"]))
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed profile document: {exc}") from exc
-    if family not in (*_FAMILY_NPARAMS, PIECEWISE):
-        raise ParameterError(f"unknown profile family {family!r}")
-    return AbilityProfile(family, params, noise)

@@ -23,10 +23,9 @@ import numpy as np
 from . import __version__, ability, dataio, merging, theory
 from .ability import linear_profile, constant_profile, polynomial_profile, NoiseModel
 from .errors import JobFitError, NumericalError, ParameterError, ValidationError
-from .job import ErrorModel, JobSpec, balanced_job
+from .job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job
 from .simulate import (
     SimConfig,
-    SimEstimate,
     Worker,
     apply_knob,
     estimate_many,
@@ -57,25 +56,22 @@ def main(argv=None) -> int:
 # --- argument plumbing ------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, job: bool = True) -> None:
-    if job:
-        p.add_argument("--job", default=None,
-                       help="job JSON path or 'balanced:n=..,m=..,k=..,seed=..,tau=..' "
-                            "(default: bundled computer_programmers fixture)")
-        p.add_argument("--no-divide", action="store_true",
-                       help="skip subskill division: both levels carry the full skill "
-                            "difficulty and the skill aggregator averages them")
-        p.add_argument("--psi", default="identity", choices=sorted(dataio.PSI_CHOICES),
-                       help="difficulty-division map applied to the decision degree")
-        p.add_argument("--h", dest="h_agg", choices=("average", "sum", "max"), default=None)
-        p.add_argument("--g", dest="g_agg", choices=("average", "weighted", "max"), default=None)
-        p.add_argument("--f", dest="f_agg", choices=("average", "weighted", "max"), default=None)
-        p.add_argument("--tau", type=float, default=None, help="success threshold override")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--job", default=None,
+                   help="job JSON path or 'balanced:n=..,m=..,k=..,seed=..,tau=..' "
+                        "(default: bundled computer_programmers fixture)")
+    p.add_argument("--no-divide", action="store_true",
+                   help="skip subskill division: both levels carry the full skill "
+                        "difficulty and the skill aggregator averages them")
+    p.add_argument("--psi", default="identity", choices=sorted(dataio.PSI_CHOICES),
+                   help="difficulty-division map applied to the decision degree")
+    p.add_argument("--h", dest="h_agg", choices=("average", "sum", "max"), default=None)
+    p.add_argument("--g", dest="g_agg", choices=("average", "weighted", "max"), default=None)
+    p.add_argument("--f", dest="f_agg", choices=("average", "weighted", "max"), default=None)
+    p.add_argument("--tau", type=float, default=None, help="success threshold override")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--out", default=None, help="write report/table to this path")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="output format where both make sense (sweep tables)")
 
 
 def _add_worker(p: argparse.ArgumentParser, prefix: str = "", default_preset: str | None = "human") -> None:
@@ -133,7 +129,7 @@ def _resolve_worker(args, prefix: str = "") -> Worker:
         if given:
             raise ParameterError(f"{', '.join(given)} set the noise of explicit profiles only "
                                  f"({d}a1/c1/beta1 and {d}a2/c2/beta2); preset {preset!r} has its own")
-        if args_no_divide(args) and preset in ("human", "ai"):
+        if args.no_divide and preset in ("human", "ai"):
             preset = preset + "-skill"
         return dataio.named_worker(preset, p=p)
     profiles = []
@@ -155,22 +151,22 @@ def _resolve_worker(args, prefix: str = "") -> Worker:
     return Worker(profiles[0], profiles[1], p)
 
 
-def args_no_divide(args) -> bool:
-    return bool(getattr(args, "no_divide", False))
-
-
 def _resolve_job(args) -> tuple[JobSpec, ErrorModel]:
-    spec_str = getattr(args, "job", None)
-    if spec_str and spec_str.startswith("balanced:"):
-        b = _parse_balanced(spec_str[len("balanced:"):])
+    balanced = args.job is not None and args.job.startswith("balanced:")
+    if args.psi != "identity" and (balanced or args.no_divide):
+        raise ParameterError("--psi sets how a job file's skills divide; "
+                             "a balanced: job and --no-divide divide nothing")
+    if balanced:
+        if args.no_divide:
+            raise ParameterError("--no-divide skips a job file's subskill division; a balanced: job "
+                                 "has none (--worker human-skill picks the unsplit preset)")
+        b = _parse_balanced(args.job[len("balanced:"):])
         rng = np.random.default_rng(b["seed"])
         spec = balanced_job(b["n"], b["m"], b["k"], rng.uniform(size=b["n"]), rng.uniform(size=b["n"]), b["tau"])
         model = ErrorModel()
-    elif spec_str:
-        spec = dataio.load_job_spec(spec_str, psi=args.psi, divide=not args_no_divide(args))
-        model = _fixture_model(args)
     else:
-        spec = dataio.load_fixture_job(psi=args.psi, divide=not args_no_divide(args))
+        spec = dataio.load_job_spec(args.job or dataio.fixture_path(dataio.FIXTURE_JOB),
+                                    psi=args.psi, divide=not args.no_divide)
         model = _fixture_model(args)
     if args.tau is not None:
         spec = spec.with_tau(args.tau)
@@ -196,9 +192,9 @@ def _parse_balanced(text: str) -> dict:
 
 
 def _fixture_model(args) -> ErrorModel:
-    if args_no_divide(args):
+    if args.no_divide:
         return ErrorModel(h="average", g="weighted", f="weighted")
-    return ErrorModel(h="sum", g="weighted", f="weighted")
+    return FIXTURE_MODEL
 
 
 def _config(args) -> SimConfig:
@@ -288,9 +284,13 @@ def _cmd_sweep(args, argv) -> None:
     worker = _resolve_worker(args)
     grid = parse_grid(args.grid)
     config = _config(args)
+    if args.grid2 and not args.param2:
+        raise ParameterError("--grid2 requires --param2")
     if args.param2:
         if not args.grid2:
             raise ParameterError("--param2 requires --grid2")
+        if args.format == "csv":
+            raise ParameterError("--param2 writes a heatmap, which is JSON only; drop --format csv")
         if args.param2 == args.param:
             raise ParameterError(f"--param2 must differ from --param (both are {args.param!r})")
         grid2 = parse_grid(args.grid2)
@@ -399,7 +399,7 @@ def _cmd_compress(args, argv) -> None:
 
 def _cmd_bias(args, argv) -> None:
     spec, model = _resolve_job(args)
-    config = SimConfig(trials=args.curve_trials, seed=args.seed)
+    config = _config(args)
     grid = parse_grid(args.curve_grid)
     points = sweep(dataio.named_worker("human"), spec, model, "a1", grid, config, crn=True)
     curve_p = [pt.estimate.value for pt in points]
@@ -478,7 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="lo:hi:steps")
     p.add_argument("--param2", default=None)
     p.add_argument("--grid2", default=None)
-    p.add_argument("--crn", dest="crn", action="store_true", default=True)
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="1-D sweep table format (default csv); a --param2 heatmap is JSON")
     p.add_argument("--no-crn", dest="crn", action="store_false")
     p.set_defaults(run=_cmd_sweep)
 
@@ -516,20 +517,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qualify-p", type=float, default=0.8)
     p.add_argument("--reject-p", type=float, default=0.6)
     p.add_argument("--curve-grid", default="0:0.6:61")
-    p.add_argument("--curve-trials", type=int, default=20_000)
-    p.set_defaults(run=_cmd_bias)
+    p.set_defaults(run=_cmd_bias, trials=20_000)
 
     p = sub.add_parser("divide", help="split a skill difficulty into subskill difficulties")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--decision-degree", "--lambda", dest="decision_degree",
                    type=float, required=True)
     p.add_argument("--psi", default="identity", choices=sorted(dataio.PSI_CHOICES))
-    _add_common(p, job=False)
+    p.add_argument("--out", default=None, help="write report/table to this path")
     p.set_defaults(run=_cmd_divide)
 
     p = sub.add_parser("fit", help="fit linear profiles from a benchmark accuracy table")
     p.add_argument("--table", default=None)
-    _add_common(p, job=False)
+    p.add_argument("--out", default=None, help="write report/table to this path")
     p.set_defaults(run=_cmd_fit)
 
     p = sub.add_parser("rerun", help="replay manifests in order and regenerate their outputs")

@@ -1,5 +1,5 @@
-"""Job/worker data ingestion: subskill division, profile splitting, the
-bundled Computer Programmers fixture, and benchmark accuracy tables.
+"""Job/worker data ingestion: subskill division, the bundled Computer
+Programmers fixture, and benchmark accuracy tables.
 
 Fixture documents are static: every number derived upstream (importance
 and proficiency tabulations, decision-level degrees, task-skill
@@ -12,17 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .ability import (
-    AbilityProfile,
-    TRUNCNORM,
-    linear_profile,
-    truncnorm_var,
-)
-from .errors import DegenerateFitError, ParameterError, SchemaError, UnsupportedSplitError
+from .ability import linear_profile, truncnorm_var
+from .errors import DegenerateFitError, ParameterError, SchemaError
 from .job import JobSpec
 from .simulate import Worker
 from . import ability
@@ -81,16 +76,6 @@ def divide_subskills(proficiency: float, degree: float, psi="identity") -> tuple
     return s1, proficiency - s1
 
 
-def split_skill_profile(profile: AbilityProfile) -> tuple[AbilityProfile, AbilityProfile]:
-    """Two subskill copies of a skill profile with the variance halved, so
-    that summing the two subskill errors approximately reconstructs the
-    skill-level error distribution."""
-    if profile.family == ability.SELECT or profile.noise is None or profile.noise.kind != TRUNCNORM:
-        raise UnsupportedSplitError("profile splitting is defined for truncated-normal noise only")
-    half = replace(profile, noise=replace(profile.noise, sigma=profile.noise.sigma / math.sqrt(2.0)))
-    return half, half
-
-
 @dataclass(frozen=True)
 class RawSkill:
     name: str
@@ -115,25 +100,6 @@ class RawJobRecord:
     allow_isolated_skills: bool = False
     provenance: dict = field(default_factory=dict, compare=False)
     format_version: int = FORMAT_VERSION
-
-    def to_json(self) -> str:
-        doc = {
-            "format_version": self.format_version,
-            "name": self.name,
-            "tau": self.tau,
-            "allow_isolated_skills": self.allow_isolated_skills,
-            "skills": [
-                {"name": sk.name, "proficiency": sk.proficiency,
-                 "importance": sk.importance, "decision_degree": sk.decision_degree}
-                for sk in self.skills
-            ],
-            "tasks": [
-                {"name": t.name, "importance": t.importance, "skills": list(t.skills)}
-                for t in self.tasks
-            ],
-            "provenance": self.provenance,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _need(doc: dict, key: str, where: str):

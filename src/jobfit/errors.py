@@ -30,10 +30,6 @@ class NotLinearError(ValidationError):
     """Operation requires a linear error model but a max component is present."""
 
 
-class UnsupportedSplitError(ValidationError):
-    """Profile splitting is only defined for truncated-normal noise."""
-
-
 class HypothesisViolationError(ValidationError):
     """Inputs violate the analytic result's hypotheses (e.g. mismatched families)."""
 

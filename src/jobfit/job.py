@@ -233,11 +233,6 @@ def _check_zeta(zeta: np.ndarray, n: int) -> np.ndarray:
     return zeta
 
 
-def job_error(spec: JobSpec, model: ErrorModel, zeta) -> float:
-    """Job error for a single n x 2 error matrix."""
-    return float(make_error_evaluator(spec, model)(np.asarray(zeta, dtype=float)))
-
-
 def balanced_job(n: int, m: int, k: int, s1, s2, tau: float) -> JobSpec:
     """Regular job: task i needs skills {i, i+1, ..., i+k-1} mod n, uniform weights.
 

@@ -18,7 +18,6 @@ from .errors import ParameterError
 from .job import ErrorModel, JobSpec
 from .simulate import SimConfig, SimEstimate, Worker, estimate_many
 
-UNIFORM_STRATEGY = "uniform"
 PER_SUBSKILL = "per_subskill"
 TRUST_SCALED = "trust_scaled"
 

@@ -154,15 +154,6 @@ def _level_errors(profile: AbilityProfile, s: np.ndarray, p: float, col: int, u,
     return np.subtract(1.0, x, out=x)
 
 
-def draw_error_matrix(worker: Worker, spec: JobSpec, rng: np.random.Generator) -> np.ndarray:
-    """One job realisation (n, 2): shared status drawn once, then per
-    subskill the uniform is mixed between the status and an independent
-    variate before one inverse transform."""
-    u, beta, sel = rng.uniform(size=(1, spec.n, 2)), rng.uniform(size=1), rng.uniform(size=(1, spec.n, 2))
-    return np.stack([_level_errors(prof, s, worker.p, col, u, beta, sel)[0] for col, (prof, s)
-                     in enumerate(((worker.alpha1, spec.s1), (worker.alpha2, spec.s2)))], axis=-1)
-
-
 def _column_keys(workers) -> dict:
     """The (level column, profile, p) keys of the workers' level columns,
     in order of first use."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ability, merging
-from .ability import AbilityProfile, NoiseModel, TRUNCNORM, UNIFORM
+from .ability import AbilityProfile, NoiseModel, UNIFORM
 from .errors import (
     HypothesisViolationError,
     NoRootError,

@@ -20,10 +20,7 @@ from jobfit.ability import (
     mean_ability,
     piecewise_profile,
     polynomial_profile,
-    profile_from_dict,
-    profile_to_dict,
     quantile,
-    sample_ability,
     select_profile,
     survival,
     truncnorm_noise,
@@ -73,14 +70,14 @@ def test_linear_validation():
 def test_zero_noise_sample_equals_mean():
     prof = linear_profile(0.22, uniform_noise(0.0))
     rng = np.random.default_rng(0)
-    assert sample_ability(prof, 0.4, rng) == mean_ability(prof, 0.4) == pytest.approx(0.688)
+    assert quantile(prof, 0.4, rng.uniform()) == mean_ability(prof, 0.4) == pytest.approx(0.688)
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.data(), UNIT, st.integers(0, 2**32 - 1))
 def test_sample_support(data, s, seed):
     prof = any_profile(data.draw)
-    x = sample_ability(prof, s, np.random.default_rng(seed))
+    x = quantile(prof, s, np.random.default_rng(seed).uniform())
     assert 0.0 <= x <= 1.0
 
 
@@ -223,19 +220,6 @@ def test_piecewise_and_select():
     assert quantile(sel, 0.8, 0.3) == quantile(b, 0.8, 0.3)
 
 
-def test_profile_serde_round_trip():
-    for prof in (
-        linear_profile(0.22, truncnorm_var(0.0065)),
-        constant_profile(0.8, uniform_noise(0.3)),
-        polynomial_profile(1.5, truncnorm_noise(0.2)),
-        piecewise_profile([(0.0, 1.0), (0.5, 0.7), (1.0, 0.3)], uniform_noise(0.1)),
-    ):
-        assert profile_from_dict(profile_to_dict(prof)) == prof
-    with pytest.raises(ParameterError):
-        profile_to_dict(select_profile(linear_profile(0.5, uniform_noise(0.1)),
-                                       constant_profile(0.5, uniform_noise(0.1))))
-
-
 def reference_quantile(profile, s, q):
     """``quantile`` as it was before it transformed one output in place,
     kept verbatim (out-of-place formulas) as the bit-for-bit reference."""
@@ -318,7 +302,7 @@ def select_sources():
 
 
 def select_shapes():
-    # (s, q) as the engine's blocks, draw_error_matrix, both branches of
+    # (s, q) as the engine's blocks, a one-trial block, both branches of
     # brute_force_success_probability, a vector and a scalar pass them.
     rng = np.random.default_rng(5)
     n, res = 6, 50

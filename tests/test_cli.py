@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -6,9 +7,24 @@ import pytest
 
 from jobfit.ability import linear_profile, uniform_noise
 from jobfit import simulate
-from jobfit.cli import SWEEP_COLUMNS, main
-from jobfit.job import ErrorModel, balanced_job
-from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_many, estimate_success_probability
+from jobfit.cli import SWEEP_COLUMNS, _build_parser, main
+from jobfit.dataio import load_fixture_job, named_worker
+from jobfit.job import FIXTURE_MODEL, ErrorModel, balanced_job
+from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_many, estimate_success_probability, sweep
+
+JOB_FLAGS = "--job --no-divide --psi --h --g --f --tau --seed --trials --out"
+WORKER_FLAGS = "--worker --a1 --c1 --beta1 --sigma1 --var1 --a2 --c2 --beta2 --sigma2 --var2 --noise --sigma --p"
+CLI_OPTIONS = {
+    "estimate": f"{JOB_FLAGS} {WORKER_FLAGS}",
+    "sweep": f"{JOB_FLAGS} {WORKER_FLAGS} --param --grid --param2 --grid2 --format --no-crn",
+    "phase": f"{JOB_FLAGS} {WORKER_FLAGS} --vary --theta --convention",
+    "merge": f"{JOB_FLAGS} {WORKER_FLAGS} {WORKER_FLAGS.replace('--', '--b-')} --strategy --pick --trust",
+    "compress": f"{JOB_FLAGS} --a-low --a-high --ai-a --ai-c --theta",
+    "bias": f"{JOB_FLAGS} --beta --qualify-p --reject-p --curve-grid",
+    "divide": "--s --decision-degree/--lambda --psi --out",
+    "fit": "--table --out",
+    "rerun": "",
+}
 
 
 def run(capsys, *argv):
@@ -179,9 +195,60 @@ def test_divide_subcommand(capsys):
 
 def test_bias_trivial(capsys):
     code, stdout, _ = run(capsys, "bias", "--beta", "1.0",
-                          "--curve-grid", "0:0.6:25", "--curve-trials", "2000")
+                          "--curve-grid", "0:0.6:25", "--trials", "2000")
     assert code == 0
     assert "rate = 0.0000" in stdout
+
+
+def test_bias_curve_runs_at_trials(capsys, tmp_path, monkeypatch):
+    # --trials sets the curve's trials, 20,000 by default.
+    assert _build_parser().parse_args(["bias"]).trials == 20_000
+    out = tmp_path / "bias.json"
+    assert run(capsys, "bias", "--curve-grid", "0:0.6:4", "--trials", "300", "--out", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+    monkeypatch.setattr(simulate, "_carry", simulate._Carry())
+    points = sweep(named_worker("human"), load_fixture_job(), FIXTURE_MODEL, "a1", doc["curve_a"],
+                   SimConfig(300, 1234), crn=True)
+    assert doc["curve_p"] == [pt.estimate.value for pt in points]
+
+
+def test_cli_surface_is_pinned():
+    """Each subcommand takes only the options its handler reads: 157 in all."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: " ".join("/".join(a.option_strings) for a in p._actions
+                              if a.option_strings and not isinstance(a, argparse._HelpAction))
+               for name, p in sub.choices.items()}
+    assert surface == CLI_OPTIONS
+    assert sum(len(flags.split()) for flags in surface.values()) == 157
+
+
+@pytest.mark.parametrize("argv", [("divide", "--s", "0.7", "--decision-degree", "0.4", "--trials", "5"),
+                                  ("fit", "--seed", "1"),
+                                  ("estimate", "--format", "csv"),
+                                  ("sweep", "--param", "a1", "--grid", "0:1:2", "--crn"),
+                                  ("bias", "--curve-trials", "2000")],
+                         ids=["divide-trials", "fit-seed", "estimate-format", "sweep-crn", "bias-curve-trials"])
+def test_removed_flags_exit_2(capsys, argv):
+    flag = next(a for a in reversed(argv) if a.startswith("--"))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2 and f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("estimate", "--job", "balanced:n=6,m=6,k=2", "--psi", "square"), "--psi"),
+    (("estimate", "--job", "balanced:n=6,m=6,k=2", "--no-divide"), "--no-divide"),
+    (("estimate", "--no-divide", "--psi", "exp_ratio"), "--psi"),
+    (("sweep", "--param", "a1", "--grid", "0:1:2", "--param2", "a2", "--grid2", "0:1:2", "--format", "csv"),
+     "--format csv"),
+    (("sweep", "--param", "a1", "--grid", "0:1:2", "--grid2", "0:1:2"), "--grid2"),
+], ids=["balanced-psi", "balanced-no-divide", "no-divide-psi", "heatmap-format-csv", "grid2-without-param2"])
+def test_flags_that_would_change_nothing_exit_2(capsys, tmp_path, argv, flag):
+    # Each flag would change nothing here, so it is refused rather than ignored.
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--trials", "10", "--out", str(out))
+    assert code == 2 and not stdout and err.startswith("error: ") and flag in err
+    assert not out.exists()
 
 
 def test_fit_subcommand(capsys):

@@ -5,27 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jobfit.ability import (
-    linear_profile,
-    mean_ability,
-    quantile,
-    truncnorm_var,
-    uniform_noise,
-)
+from jobfit.ability import mean_ability, quantile
 from jobfit.dataio import (
     PSI_CHOICES,
     divide_subskills,
     fixture_path,
     load_benchmark_table,
     load_fixture_job,
-    load_job_record,
     load_job_spec,
     named_worker,
     parse_job_record,
-    record_to_spec,
-    split_skill_profile,
 )
-from jobfit.errors import DegenerateFitError, ParameterError, SchemaError, UnsupportedSplitError
+from jobfit.errors import DegenerateFitError, ParameterError, SchemaError
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -64,24 +55,10 @@ def test_divide_validation():
         divide_subskills(0.5, 0.5, psi="cubic")
 
 
-def test_split_skill_profile():
-    human = linear_profile(0.22, truncnorm_var(0.013))
-    a1, a2 = split_skill_profile(human)
-    assert a1 == a2
-    assert a1.noise.sigma**2 == pytest.approx(0.0065)
-    ai = linear_profile(0.08, truncnorm_var(0.029))
-    b1, _ = split_skill_profile(ai)
-    assert b1.noise.sigma**2 == pytest.approx(0.0145)
-    z1, z2 = split_skill_profile(linear_profile(0.5, truncnorm_var(0.0)))
-    assert z1.noise.sigma == 0.0
-    with pytest.raises(UnsupportedSplitError):
-        split_skill_profile(linear_profile(0.5, uniform_noise(0.1)))
-
-
 def test_split_consistency_distribution():
-    # zeta1 + zeta2 from split profiles vs 1 - X from the unsplit profile
-    skill = linear_profile(0.22, truncnorm_var(0.013))
-    half, _ = split_skill_profile(skill)
+    # zeta1 + zeta2 from the split preset vs 1 - X from the unsplit one
+    half, skill = named_worker("human").alpha1, named_worker("human-skill").alpha1
+    assert half.noise.sigma**2 == pytest.approx(skill.noise.sigma**2 / 2)
     rng = np.random.default_rng(0)
     for s, lam in ((0.7, 0.4), (0.5, 0.3), (0.46, 0.7)):
         s1, s2 = divide_subskills(s, lam)
@@ -137,18 +114,6 @@ def test_schema_errors_name_fields(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="tau"):
         load_job_spec(path)
-
-
-def test_record_round_trip(tmp_path):
-    record = load_job_record(fixture_path("computer_programmers.json"))
-    path = tmp_path / "copy.json"
-    path.write_text(record.to_json())
-    again = load_job_record(path)
-    assert again == record
-    spec_a = record_to_spec(record)
-    spec_b = record_to_spec(again)
-    assert np.array_equal(spec_a.s1, spec_b.s1)
-    assert spec_a.tasks == spec_b.tasks
 
 
 def test_benchmark_fits_match_published():

@@ -13,7 +13,7 @@ from pathlib import Path
 from jobfit.cli import main
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
-CUT = {"--trials": "2000", "--curve-trials": "2000"}
+CUT = {"--trials": "2000"}
 
 # (first, last, fsum) of the numbers each command prints, by float.hex().
 GOLDEN = {

@@ -13,7 +13,6 @@ from jobfit.job import (
     _task_weight_matrix,
     balanced_job,
     effective_coefficients,
-    job_error,
     lipschitz_bound,
     make_error_evaluator,
 )
@@ -60,13 +59,13 @@ def test_job_error_hand_composed():
     spec = JobSpec([0.5, 0.5], [0.5, 0.5], ((0, 1),), [1, 1], [1], 0.5)
     zeta = [[0.2, 0.4], [0.6, 0.8]]
     # h averages pairs to (0.3, 0.7); g averages to 0.5; f is identity on one task
-    assert job_error(spec, ErrorModel(), zeta) == pytest.approx(0.5)
+    assert make_error_evaluator(spec, ErrorModel())(zeta) == pytest.approx(0.5)
 
 
 def test_all_zero_error():
     spec = small_spec()
     for model in MODELS:
-        assert job_error(spec, model, np.zeros((2, 2))) == pytest.approx(0.0)
+        assert make_error_evaluator(spec, model)(np.zeros((2, 2))) == pytest.approx(0.0)
 
 
 def test_monotone_in_every_coordinate():
@@ -176,7 +175,7 @@ def test_validation_errors():
     with pytest.raises(ShapeError):
         JobSpec([0.5, 0.2], [0.5], ((0,),), [1.0, 1.0], [1.0], 0.5)
     with pytest.raises(ShapeError):
-        job_error(small_spec(), ErrorModel(), np.zeros((3, 2)))
+        make_error_evaluator(small_spec(), ErrorModel())(np.zeros((3, 2)))
 
 
 def test_isolated_skills_reported():

@@ -35,7 +35,6 @@ from jobfit.simulate import (
     _shared_draw_errors,
     apply_knob,
     brute_force_success_probability,
-    draw_error_matrix,
     estimate_err_avg,
     estimate_many,
     estimate_success_probability,
@@ -60,33 +59,41 @@ def tiny_spec(n=2, tau=0.5, seed=0):
                    np.ones(n), np.ones(n), tau)
 
 
+def chunk_errors(worker, spec, count=8, seed=1):
+    """(count, n, 2) subskill errors of ``worker`` on the first ``count``
+    trials of one chunk, level by level as the engine computes them."""
+    u, beta, sel = _chunk_uniforms(seed, 0, 0, count, spec.n)
+    return np.stack([_level_errors(prof, s, worker.p, col, u, beta, sel) for col, (prof, s)
+                     in enumerate(((worker.alpha1, spec.s1), (worker.alpha2, spec.s2)))], axis=-1)
+
+
 def test_draw_zero_noise_any_p():
     spec = tiny_spec()
     for p in (0.0, 0.3, 1.0):
         worker = linear_worker(0.3, 0.6, 0.0, p=p)
-        zeta = draw_error_matrix(worker, spec, np.random.default_rng(1))
-        assert np.allclose(zeta[:, 0], 0.7 * spec.s1)
-        assert np.allclose(zeta[:, 1], 0.4 * spec.s2)
+        zeta = chunk_errors(worker, spec)
+        assert np.allclose(zeta[:, :, 0], 0.7 * spec.s1)
+        assert np.allclose(zeta[:, :, 1], 0.4 * spec.s2)
 
 
 def test_draw_fully_dependent_shares_one_status():
     spec = tiny_spec(n=3)
     worker = linear_worker(0.4, 0.5, 0.3, p=1.0)
-    zeta = draw_error_matrix(worker, spec, np.random.default_rng(2))
-    # every entry must sit at the same quantile level of its own marginal
-    levels = []
-    for j in range(spec.n):
-        levels.append(cdf(worker.alpha1, spec.s1[j], 1.0 - zeta[j, 0]))
-        levels.append(cdf(worker.alpha2, spec.s2[j], 1.0 - zeta[j, 1]))
-    assert np.ptp(levels) < 1e-9
+    for zeta in chunk_errors(worker, spec, seed=2):
+        # every entry must sit at the same quantile level of its own marginal
+        levels = []
+        for j in range(spec.n):
+            levels.append(cdf(worker.alpha1, spec.s1[j], 1.0 - zeta[j, 0]))
+            levels.append(cdf(worker.alpha2, spec.s2[j], 1.0 - zeta[j, 1]))
+        assert np.ptp(levels) < 1e-9
 
 
 def test_draw_independent_entries_differ():
     spec = tiny_spec(n=3)
     worker = linear_worker(0.4, 0.5, 0.3, p=0.0)
-    zeta = draw_error_matrix(worker, spec, np.random.default_rng(2))
-    levels = [cdf(worker.alpha1, spec.s1[j], 1.0 - zeta[j, 0]) for j in range(spec.n)]
-    assert np.ptp(levels) > 1e-6
+    for zeta in chunk_errors(worker, spec, seed=2):
+        levels = [cdf(worker.alpha1, spec.s1[j], 1.0 - zeta[j, 0]) for j in range(spec.n)]
+        assert np.ptp(levels) > 1e-6
 
 
 def forget_counts(monkeypatch):
