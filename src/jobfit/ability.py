@@ -103,7 +103,7 @@ class AbilityProfile:
                     f"linear profile requires a, c in [0,1] with a + c >= 1, got a={a}, c={c}"
                 )
         elif self.family == POLYNOMIAL:
-            if len(p) != 1 or p[0] < 0.0:
+            if len(p) != 1 or not p[0] >= 0.0:
                 raise ParameterError(f"polynomial profile needs beta >= 0, got {p}")
         elif self.family == PIECEWISE:
             if len(p) < 4 or len(p) % 2:

@@ -129,9 +129,7 @@ def _resolve_worker(args, prefix: str = "") -> Worker:
         if given:
             raise ParameterError(f"{', '.join(given)} set the noise of explicit profiles only "
                                  f"({d}a1/c1/beta1 and {d}a2/c2/beta2); preset {preset!r} has its own")
-        if args.no_divide and preset in ("human", "ai"):
-            preset = preset + "-skill"
-        return dataio.named_worker(preset, p=p)
+        return _preset(args, preset, p)
     profiles = []
     for level in (1, 2):
         noise = _noise(args, prefix, level)
@@ -149,6 +147,14 @@ def _resolve_worker(args, prefix: str = "") -> Worker:
         else:
             profiles.append(polynomial_profile(beta, noise))
     return Worker(profiles[0], profiles[1], p)
+
+
+def _preset(args, name: str, p: float = 0.0) -> Worker:
+    """A named preset; with ``--no-divide``, human and ai take their
+    unsplit skill-level presets."""
+    if args.no_divide and name in ("human", "ai"):
+        name += "-skill"
+    return dataio.named_worker(name, p=p)
 
 
 def _resolve_job(args) -> tuple[JobSpec, ErrorModel]:
@@ -365,14 +371,19 @@ def _cmd_merge(args, argv) -> None:
     worker_a = _resolve_worker(args)
     worker_b = _resolve_worker(args, prefix="b_")
     config = _config(args)
+    for flag, value, strategy in (("--pick", args.pick, "uniform"), ("--trust", args.trust, "trust")):
+        if value is not None and args.strategy != strategy:
+            raise ParameterError(f"{flag} acts only under --strategy {strategy}, not {args.strategy}")
     if args.strategy == "uniform":
-        merged = merging.merge_uniform(worker_a, worker_b, tuple(args.pick))
-        plan_doc = {"strategy": "uniform", "pick": args.pick}
+        pick = "AB" if args.pick is None else args.pick
+        merged = merging.merge_uniform(worker_a, worker_b, tuple(pick))
+        plan_doc = {"strategy": "uniform", "pick": pick}
     elif args.strategy == "per-subskill":
         merged, plan = merging.merge_per_subskill(worker_a, worker_b, spec)
         plan_doc = plan.to_dict()
     else:
-        merged, plan = merging.merge_with_trust(worker_a, worker_b, spec, args.trust)
+        trust = 1.0 if args.trust is None else args.trust
+        merged, plan = merging.merge_with_trust(worker_a, worker_b, spec, trust)
         plan_doc = plan.to_dict()
     result = merging.evaluate_merge_gain(
         {"A": worker_a, "B": worker_b}, {"merged": merged}, spec, model, config
@@ -387,9 +398,9 @@ def _cmd_merge(args, argv) -> None:
 
 def _cmd_compress(args, argv) -> None:
     spec, model = _resolve_job(args)
-    human = dataio.named_worker("human")
+    human = _preset(args, "human")
     low, high = apply_knob(human, "a2", args.a_low), apply_knob(human, "a2", args.a_high)
-    ai_noise = dataio.truncnorm_var(dataio.AI_VARIANCE / 2)
+    ai_noise = dataio.truncnorm_var(dataio.AI_VARIANCE if args.no_divide else dataio.AI_VARIANCE / 2)
     ai = Worker(linear_profile(args.ai_a, ai_noise), constant_profile(args.ai_c, ai_noise))
     report = theory.compression_bound(low, high, ai, spec, model, args.theta, config=_config(args))
     print(f"PC = {report.pc:.4f} (P1={report.p1.value:.3f}, P2={report.p2.value:.3f}, "
@@ -401,7 +412,7 @@ def _cmd_bias(args, argv) -> None:
     spec, model = _resolve_job(args)
     config = _config(args)
     grid = parse_grid(args.curve_grid)
-    points = sweep(dataio.named_worker("human"), spec, model, "a1", grid, config, crn=True)
+    points = sweep(_preset(args, "human"), spec, model, "a1", grid, config, crn=True)
     curve_p = [pt.estimate.value for pt in points]
     rates = {}
     for beta in args.beta:
@@ -498,8 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_worker(p, prefix="b-", default_preset="ai")
     p.add_argument("--strategy", choices=("uniform", "per-subskill", "trust"),
                    default="per-subskill")
-    p.add_argument("--pick", default="AB", help="level sources for the uniform strategy")
-    p.add_argument("--trust", type=float, default=1.0)
+    p.add_argument("--pick", default=None, help="level sources for the uniform strategy (default AB)")
+    p.add_argument("--trust", type=float, default=None, help="trust scale for the trust strategy (default 1.0)")
     p.set_defaults(run=_cmd_merge)
 
     p = sub.add_parser("compress", help="productivity compression from a shared assistant")

@@ -28,11 +28,26 @@ counts as used), and reads kept columns instead of computing them; a
 block whose columns all come from the carry draws no uniforms.  Kept
 columns never exceed ``CHUNK_TRIALS * 2n`` doubles, the size of one
 chunk's ``u`` section.  Neither part of the carry changes any bit.
+
+CRN ability sweeps rest on monotone coupling (Glasserman & Yao 1992,
+"Some guidelines and guarantees for common random numbers", Management
+Science 38(6)).  Raising a base profile's a, c or beta raises its mean
+ability; at a fixed uniform, the inverse transform of either noise kind
+does not fall as the mean rises; and every (h, g, f) composition does
+not fall as any subskill error falls.  So on common draws each trial's
+success is non-decreasing along a sorted grid of one such knob, and
+:func:`sweep` finds each trial's first successful grid point by
+bisection instead of evaluating every point.  Rounding could, in
+principle, make an error non-monotone by a few ulps at a trial that sits
+on tau, so the bisected counts equal the per-point counts by test (every
+reference digest, every committed experiment and a many-seed property
+test), not by proof.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +55,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import ability
-from .ability import AbilityProfile, NoiseModel, UNIFORM, mean_ability, quantile
+from .ability import AbilityProfile, NoiseModel, UNIFORM, _terms, _transform, mean_ability, quantile
 from .errors import CapacityError, ParameterError
 from .job import ErrorModel, JobSpec, effective_coefficients, make_error_evaluator
 
@@ -114,9 +129,11 @@ def _chunk_streams(trials: int):
 
 
 def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
-                    need_sel: bool = True, rows: tuple[int, int] | None = None):
+                    need_sel: bool = True, rows: tuple[int, int] | None = None, out=None):
     """Fixed-layout uniforms for one chunk: (u, beta, selector), or with
-    ``rows=(a, b)`` only trials a..b-1 of each.
+    ``rows=(a, b)`` only trials a..b-1 of each.  With ``out``, a (u, beta)
+    pair of arrays with at least b - a rows, u and beta are written into
+    their first rows and returned as those slices.
 
     The chunk's stream holds ``u`` at draw offset 0, ``beta`` at
     ``count*2n`` and ``sel`` at ``count*(2n+1)``, one 64-bit draw per
@@ -128,29 +145,56 @@ def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
     a, b = (0, count) if rows is None else rows
     bitgen = np.random.PCG64(np.random.SeedSequence([seed, tag, chunk]))
     start, gen = bitgen.state, np.random.Generator(bitgen)
+    u_out, beta_out = (None, None) if out is None else out
 
-    def section(offset: int, width: int, shape):
+    def section(offset: int, width: int, shape, into=None):
         bitgen.state = start
         bitgen.advance(offset + a * width)
-        return gen.random(shape)
+        return gen.random(shape) if into is None else gen.random(out=into[:b - a])
 
-    u = section(0, 2 * n, (b - a, n, 2))
-    beta = section(count * 2 * n, 1, b - a)
+    u = section(0, 2 * n, (b - a, n, 2), u_out)
+    beta = section(count * 2 * n, 1, b - a, beta_out)
     sel = section(count * (2 * n + 1), 2 * n, (b - a, n, 2)) if need_sel else None
     return u, beta, sel
+
+
+# Per-thread u and beta arrays of the block loops (see _block_uniforms).
+_scratch = threading.local()
+
+
+def _block_uniforms(n: int):
+    """This thread's (u, beta) arrays for blocks of :data:`BLOCK_TRIALS`
+    rows over n skills, the ``out`` of :func:`_chunk_uniforms`.
+
+    Every block of every call draws u and beta.  Drawn into fresh arrays,
+    they went back to the kernel and were faulted in again, block after
+    block and call after call; kept here (with each call's zeta array
+    reused across its blocks), a 200k-trial fixture estimate at p = 0.3
+    takes 1.2k page faults instead of 7.7k, and a shared-draws merge-map
+    row 0.9k instead of 9.3k.  Keeping sel and zeta per thread as well
+    faulted more, not less, on the max-job and fixture benchmark
+    workloads.  No block reads what an earlier block drew, so generators
+    of one thread may interleave at their yields."""
+    arrays = getattr(_scratch, "uniforms", None)
+    if arrays is None or arrays[0].shape != (BLOCK_TRIALS, n, 2):
+        arrays = _scratch.uniforms = (np.empty((BLOCK_TRIALS, n, 2)), np.empty(BLOCK_TRIALS))
+    return arrays
+
+
+def _level_uniforms(p: float, col: int, u, beta, sel) -> np.ndarray:
+    """The (count, n) uniforms of level ``col + 1``: where sel < p a
+    subskill takes the shared status beta, else its own u."""
+    q = u[:, :, col]
+    return np.where(sel[:, :, col] < p, beta[:, None], q) if p > 0.0 else q
 
 
 def _level_errors(profile: AbilityProfile, s: np.ndarray, p: float, col: int, u, beta, sel) -> np.ndarray:
     """Errors 1 - X (count, n) of level ``col + 1`` from a chunk's uniforms.
 
-    Status coupling picks the uniform, not the quantile: where sel < p a
-    subskill takes the shared status beta, else its own u, and the pick
-    goes through one inverse transform.  ``quantile`` is elementwise, so
-    this equals transforming both and picking, bit for bit."""
-    q = u[:, :, col]
-    if p > 0.0:
-        q = np.where(sel[:, :, col] < p, beta[:, None], q)
-    x = quantile(profile, s[None, :], q)
+    Status coupling picks the uniform, not the quantile, and the pick goes
+    through one inverse transform.  ``quantile`` is elementwise, so this
+    equals transforming both and picking, bit for bit."""
+    x = quantile(profile, s[None, :], _level_uniforms(p, col, u, beta, sel))
     return np.subtract(1.0, x, out=x)
 
 
@@ -166,7 +210,10 @@ def _shared_draw_errors(workers: list[Worker], spec: JobSpec, model: ErrorModel,
     the chunk's one draw.  Each chunk runs in blocks of :data:`BLOCK_TRIALS`
     trials that write into one (workers, count) error array; within a
     block, a level column that several workers share (same level, profile
-    and p) is computed once and kept only until its last use.
+    and p) is computed once and kept only until its last use.  A (level,
+    profile) computed at two or more p transforms u and beta once each per
+    block (its p = 0 and p = 1 columns) and picks per p; ``quantile`` is
+    elementwise, so each pick equals its own transform, bit for bit.
 
     ``carried`` and ``keep`` map column keys to whole (trials, n) columns:
     a carried column is read instead of computed, and a computed column
@@ -177,32 +224,95 @@ def _shared_draw_errors(workers: list[Worker], spec: JobSpec, model: ErrorModel,
     uses = Counter((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
     missing = [key for key in uses if key not in carried]
     need_sel = any(p > 0.0 for _, _, p in missing)
+    at_many_p = {pair for pair, k in Counter((col, prof) for col, prof, _ in missing).items() if k > 1}
+    pair_uses = Counter((col, prof) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
+    out, zetas = _block_uniforms(spec.n), np.empty((2, min(BLOCK_TRIALS, trials), spec.n))
     for chunk, count in _chunk_streams(trials):
         err = np.empty((len(workers), count))
         for a in range(0, count, BLOCK_TRIALS):
             b = min(a + BLOCK_TRIALS, count)
             rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
             if missing:
-                u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel, rows=(a, b))
+                u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel, rows=(a, b),
+                                               out=out)
             left, memo = Counter(uses), {key: column[rows] for key, column in carried.items()}
+            pair_left, ends = Counter(pair_uses), {}
             # Level-major, so that each level column is contiguous; every
             # worker overwrites both columns before its evaluation.
-            zeta = np.empty((2, b - a, spec.n)).transpose(1, 2, 0)
+            zeta = zetas[:, :b - a].transpose(1, 2, 0)
             for i, w in enumerate(workers):
                 for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
-                    key = (col, prof, w.p)
+                    key, pair = (col, prof, w.p), (col, prof)
                     errs = memo.pop(key, None)
                     if errs is None:
-                        errs = _level_errors(prof, s, w.p, col, u, beta, sel)
+                        if pair in at_many_p:
+                            if pair not in ends:
+                                ends[pair] = [_level_errors(prof, s, p, col, u, beta, sel) for p in (0.0, 1.0)]
+                            errs = np.where(sel[:, :, col] < w.p, ends[pair][1], ends[pair][0])
+                        else:
+                            errs = _level_errors(prof, s, w.p, col, u, beta, sel)
                         if key in keep:
                             keep[key][rows] = errs
                     left[key] -= 1
                     if left[key]:
                         memo[key] = errs
+                    pair_left[pair] -= 1
+                    if not pair_left[pair]:
+                        ends.pop(pair, None)
                     zeta[:, :, col] = errs
                 err[i, a:b] = evaluate(zeta)
         yield from enumerate(err)
         del err
+
+
+def _bisected_counts(worker: Worker, col: int, profiles: list[AbilityProfile], spec: JobSpec,
+                     model: ErrorModel, config: SimConfig, tau: float, carried, keep) -> np.ndarray:
+    """Success counts of ``worker`` with level ``col + 1`` set to each of
+    ``profiles``, in order of non-decreasing mean ability, by bisection per
+    trial.
+
+    Each block computes the other level's column once (or reads it from
+    ``carried``, or writes it to ``keep``, as :func:`_shared_draw_errors`
+    does) and this level's uniforms once.  Each trial's first successful
+    index in [0, K] (K when none succeeds) then takes ``K.bit_length()``,
+    that is ceil(log2(K + 1)), whole-block evaluations, each at every
+    row's own midpoint: the row's per-difficulty terms are gathered from
+    its profile and go through the unchanged transform and evaluator, with
+    every row at its position in the block.  The count at index k is the
+    number of trials whose first success is at most k."""
+    n, p, fixed = spec.n, worker.p, 1 - col
+    levels = ((worker.alpha1, spec.s1), (worker.alpha2, spec.s2))
+    (fixed_prof, fixed_s), s = levels[fixed], levels[col][1]
+    fixed_key = (fixed, fixed_prof, p)
+    terms = [np.concatenate(parts) for parts in zip(*(_terms(prof, s[None, :]) for prof in profiles))]
+    last = len(profiles) - 1
+    evaluate = make_error_evaluator(spec, model)
+    firsts = np.zeros(len(profiles) + 1, dtype=np.int64)
+    out, zetas = _block_uniforms(n), np.empty((2, min(BLOCK_TRIALS, config.trials), n))
+    for chunk, count in _chunk_streams(config.trials):
+        for a in range(0, count, BLOCK_TRIALS):
+            b = min(a + BLOCK_TRIALS, count)
+            rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
+            u, beta, sel = _chunk_uniforms(config.seed, 0, chunk, count, n, need_sel=p > 0.0, rows=(a, b), out=out)
+            zeta = zetas[:, :b - a].transpose(1, 2, 0)
+            if fixed_key in carried:
+                zeta[:, :, fixed] = carried[fixed_key][rows]
+            else:
+                zeta[:, :, fixed] = _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel)
+                if fixed_key in keep:
+                    keep[fixed_key][rows] = zeta[:, :, fixed]
+            q, x = _level_uniforms(p, col, u, beta, sel), np.empty((b - a, n))
+            lo, hi = np.zeros(b - a, dtype=np.intp), np.full(b - a, last + 1, dtype=np.intp)
+            for _ in range(len(profiles).bit_length()):
+                # A settled row (lo == hi) keeps its bounds whatever it reads.
+                mid = (lo + hi) // 2
+                _transform(profiles[0], [term[np.minimum(mid, last)] for term in terms], q, x)
+                np.subtract(1.0, x, out=zeta[:, :, col])
+                ok = evaluate(zeta) <= tau
+                hi = np.where(ok, mid, hi)
+                lo = np.where(ok, lo, np.minimum(mid + 1, hi))
+            firsts += np.bincount(lo, minlength=last + 2)
+    return np.cumsum(firsts)[:-1]
 
 
 def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) -> SimEstimate:
@@ -238,14 +348,14 @@ def _carry_for(spec: JobSpec, model: ErrorModel, config: SimConfig, tag: int) ->
     return carry if carry.key == key else _Carry(key)
 
 
-def _plan_columns(carry: _Carry, used: dict, todo: list[Worker], trials: int, n: int):
+def _plan_columns(carry: _Carry, used: dict, computed, trials: int, n: int):
     """The carried columns a call uses, and fresh (trials, n) arrays for
-    the columns it computes whose keys the previous call also used, as
+    the ``computed`` column keys that the previous call also used, as
     many as fit beside the carried ones in ``CHUNK_TRIALS * 2n`` doubles.
     Both go into the next carry."""
     carried = {key: carry.columns[key] for key in used if key in carry.columns}
     room = 2 * CHUNK_TRIALS // trials - len(carried)
-    fresh = [key for key in _column_keys(todo) if key in carry.used and key not in carried][:room]
+    fresh = [key for key in computed if key in carry.used and key not in carried][:room]
     return carried, {key: np.empty((trials, n)) for key in fresh}
 
 
@@ -274,7 +384,7 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     distinct_taus = list(dict.fromkeys(taus))
     successes.update(((w, t), 0) for w in todo for t in distinct_taus)
     used = _column_keys(workers)
-    carried, keep = _plan_columns(carry, used, todo, config.trials, spec.n)
+    carried, keep = _plan_columns(carry, used, _column_keys(todo), config.trials, spec.n)
     if todo:
         for i, err in _shared_draw_errors(todo, spec, model, config.trials, config.seed, _tag, carried, keep):
             for t in distinct_taus:
@@ -342,7 +452,7 @@ def estimate_err_avg(
     config = config or SimConfig()
     carry = _carry_for(spec, model, config, _tag)
     used = _column_keys([worker])
-    carried, keep = _plan_columns(carry, used, [worker], config.trials, spec.n)
+    carried, keep = _plan_columns(carry, used, used, config.trials, spec.n)
     total = 0.0
     total_sq = 0.0
     for _, err in _shared_draw_errors([worker], spec, model, config.trials, config.seed, _tag, carried, keep):
@@ -409,6 +519,29 @@ class SweepPoint:
     estimate: SimEstimate
 
 
+def _bisected_sweep(worker: Worker, col: int, grid: list[float], workers: list[Worker], spec: JobSpec,
+                    model: ErrorModel, config: SimConfig | None, tau: float | None) -> list[SimEstimate]:
+    """P of each grid worker (``worker`` with level ``col + 1`` set at the
+    grid value) on tag 0, by :func:`_bisected_counts`; the counts of every
+    (grid worker, tau) and the kept level columns go into the carry as
+    ``estimate_many``'s would."""
+    global _carry
+    config = config or SimConfig()
+    tau = float(spec.tau if tau is None else tau)
+    by_value = dict(zip(grid, workers))
+    values = sorted(by_value)
+    carry = _carry_for(spec, model, config, 0)
+    used = _column_keys(workers)
+    fixed = 1 - col
+    carried, keep = _plan_columns(carry, used, [(fixed, worker.profile(fixed + 1), worker.p)], config.trials, spec.n)
+    counts = _bisected_counts(worker, col, [by_value[v].profile(col + 1) for v in values],
+                              spec, model, config, tau, carried, keep)
+    count_at = dict(zip(values, counts.tolist()))
+    successes = {(w, tau): count_at[v] for v, w in zip(grid, workers)}
+    _carry = _Carry(carry.key, successes, frozenset(used), {**carried, **keep})
+    return [_binomial_estimate(successes[w, tau], config.trials, config.seed, config.ci_level) for w in workers]
+
+
 def sweep(
     worker,
     spec: JobSpec,
@@ -426,6 +559,14 @@ def sweep(
     grid point reuses the same underlying uniforms, so curves are smooth
     and differences across the grid have reduced variance; without it each
     point gets an independent substream.
+
+    A CRN sweep of a base worker's a, c or beta knob finds each trial's
+    first successful grid point by bisection over the sorted distinct
+    grid values (see the module docstring), so a curve is non-decreasing
+    by construction and costs ceil(log2(K + 1)) evaluations per trial for
+    K values, not K.  Its counts equal those of ``estimate_many`` on the
+    grid workers by test, not by proof, and go into the carry as its
+    counts would.  Factories, sigma, p and tau sweeps run ``estimate_many``.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -441,6 +582,8 @@ def sweep(
         ests = [estimate_many([w], spec, model, config, [t], 1 + i)[0] for i, (w, t) in enumerate(cases)]
     elif param == "tau":
         ests = estimate_many([worker], spec, model, config, grid)
+    elif param[:-1] in _KNOB_FAMILIES and not callable(worker):
+        ests = _bisected_sweep(worker, int(param[-1]) - 1, grid, [w for w, _ in cases], spec, model, config, tau)
     else:
         ests = estimate_many([w for w, _ in cases], spec, model, config, [tau])
     return [SweepPoint(param, value, est) for value, est in zip(grid, ests)]

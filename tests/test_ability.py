@@ -64,6 +64,8 @@ def test_linear_validation():
     with pytest.raises(ParameterError):
         polynomial_profile(-0.1, uniform_noise(0.1))
     with pytest.raises(ParameterError):
+        polynomial_profile(float("nan"), uniform_noise(0.1))
+    with pytest.raises(ParameterError):
         NoiseModel("uniform", 1.5)
 
 

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jobfit.ability import linear_profile, uniform_noise
+from jobfit.ability import constant_profile, linear_profile, truncnorm_var, uniform_noise
 from jobfit import simulate
 from jobfit.cli import SWEEP_COLUMNS, _build_parser, main
-from jobfit.dataio import load_fixture_job, named_worker
+from jobfit.dataio import AI_SLOPE, AI_VARIANCE, load_fixture_job, named_worker
 from jobfit.job import FIXTURE_MODEL, ErrorModel, balanced_job
 from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_many, estimate_success_probability, sweep
+from jobfit.theory import compression_bound
 
 JOB_FLAGS = "--job --no-divide --psi --h --g --f --tau --seed --trials --out"
 WORKER_FLAGS = "--worker --a1 --c1 --beta1 --sigma1 --var1 --a2 --c2 --beta2 --sigma2 --var2 --noise --sigma --p"
@@ -212,6 +213,25 @@ def test_bias_curve_runs_at_trials(capsys, tmp_path, monkeypatch):
     assert doc["curve_p"] == [pt.estimate.value for pt in points]
 
 
+def test_bias_and_compress_no_divide_take_the_skill_level_presets(capsys, tmp_path, monkeypatch):
+    # --no-divide evaluates the undivided job, so the human is the unsplit
+    # human-skill preset and the compression assistant has the whole AI variance.
+    spec, model = load_fixture_job(divide=False), ErrorModel(h="average", g="weighted", f="weighted")
+    config = SimConfig(300, 1234)
+    out = tmp_path / "bias.json"
+    assert run(capsys, "bias", "--no-divide", "--curve-grid", "0:0.6:4", "--trials", "300", "--out", str(out))[0] == 0
+    monkeypatch.setattr(simulate, "_carry", simulate._Carry())
+    points = sweep(named_worker("human-skill"), spec, model, "a1", json.loads(out.read_text())["curve_a"], config)
+    assert json.loads(out.read_text())["curve_p"] == [pt.estimate.value for pt in points]
+    assert run(capsys, "compress", "--no-divide", "--trials", "300", "--out", str(out))[0] == 0
+    human, noise = named_worker("human-skill"), truncnorm_var(AI_VARIANCE)
+    ai = Worker(linear_profile(AI_SLOPE, noise), constant_profile(0.8, noise))
+    monkeypatch.setattr(simulate, "_carry", simulate._Carry())
+    report = compression_bound(apply_knob(human, "a2", 0.1), apply_knob(human, "a2", 0.8), ai,
+                               spec, model, 0.1, config=config)
+    assert json.loads(out.read_text())["report"]["pc"] == report.pc
+
+
 def test_cli_surface_is_pinned():
     """Each subcommand takes only the options its handler reads: 157 in all."""
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -242,7 +262,11 @@ def test_removed_flags_exit_2(capsys, argv):
     (("sweep", "--param", "a1", "--grid", "0:1:2", "--param2", "a2", "--grid2", "0:1:2", "--format", "csv"),
      "--format csv"),
     (("sweep", "--param", "a1", "--grid", "0:1:2", "--grid2", "0:1:2"), "--grid2"),
-], ids=["balanced-psi", "balanced-no-divide", "no-divide-psi", "heatmap-format-csv", "grid2-without-param2"])
+    (("merge", "--pick", "BA"), "--pick"),
+    (("merge", "--strategy", "uniform", "--trust", "1.5"), "--trust"),
+    (("merge", "--strategy", "trust", "--pick", "AB"), "--pick"),
+], ids=["balanced-psi", "balanced-no-divide", "no-divide-psi", "heatmap-format-csv", "grid2-without-param2",
+        "merge-pick-per-subskill", "merge-trust-uniform", "merge-pick-trust"])
 def test_flags_that_would_change_nothing_exit_2(capsys, tmp_path, argv, flag):
     # Each flag would change nothing here, so it is refused rather than ignored.
     out = tmp_path / "out"
@@ -274,6 +298,14 @@ def test_merge_and_phase_reports(capsys, tmp_path):
     doc = json.loads(out2.read_text())
     assert doc["report"]["verified"] is True
     assert doc["report"]["mu1_c"] == pytest.approx(0.5124, abs=1e-3)
+
+
+@pytest.mark.parametrize("argv, plan", [((), {"strategy": "uniform", "pick": "AB"}),
+                                        (("--pick", "BA"), {"strategy": "uniform", "pick": "BA"})])
+def test_merge_uniform_pick_defaults_to_ab(capsys, tmp_path, argv, plan):
+    out = tmp_path / "merge.json"
+    assert run(capsys, "merge", "--strategy", "uniform", *argv, "--trials", "200", "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["plan"] == plan
 
 
 def test_phase_warns_when_window_is_clipped(capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,8 +179,7 @@ def test_sweep_crn_monotone_in_ability():
     worker = linear_worker(0.5, 0.5, 0.3)
     pts = sweep(worker, spec, AVG, "a1", np.linspace(0, 1, 21), SimConfig(trials=4000, seed=21))
     values = [p.estimate.value for p in pts]
-    stderr = max(p.estimate.stderr for p in pts)
-    assert all(b >= a - 2 * stderr for a, b in zip(values, values[1:]))
+    assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_sweep_tau_monotone_exact():
@@ -468,6 +468,25 @@ def test_shared_draw_errors_do_not_depend_on_block_size(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_interleaved_engine_calls_of_one_thread_share_block_uniforms_safely():
+    # Both generators draw into this thread's u and beta arrays; no block
+    # reads what another drew, so stepping them in turn changes no bit.
+    spec = tiny_spec(n=3)
+    calls = [([linear_worker(0.3, 0.6, 0.2, p=0.4), linear_worker(0.7, 0.2, 0.3)], 17),
+             ([linear_worker(0.5, 0.5, 0.4, kind="trunc", p=0.8)], 19)]
+
+    def run(workers, seed):
+        return _shared_draw_errors(workers, spec, AVG, CHUNK_TRIALS + 500, seed, 0)
+
+    alone = [[err.tobytes() for _, err in run(*call)] for call in calls]
+    turns = [[], []]
+    for pair in itertools.zip_longest(*(run(*call) for call in calls)):
+        for got, step in zip(turns, pair):
+            if step is not None:
+                got.append(step[1].tobytes())
+    assert turns == alone
+
+
 def test_every_model_on_max_job_does_not_depend_on_block_size(monkeypatch):
     spec, worker = _max_case()
     workers = [worker, apply_knob(worker, "p", 0.4)]
@@ -714,20 +733,20 @@ def test_err_avg_bisection_reads_the_unchanged_level_and_equals_fresh_steps(monk
 
 
 def test_kept_columns_never_exceed_one_chunk_of_uniforms(monkeypatch):
-    # A 41-point sweep repeated at another tau evaluates all 41 workers
+    # 41 workers of an a1 grid counted again at another tau are evaluated
     # again, and all 42 of their columns recur; the carry keeps only as
     # many as fit in CHUNK_TRIALS * 2n doubles.
     spec = tiny_spec(n=3)
     human = linear_worker(0.3, 0.4, 0.3)
     config = SimConfig(trials=20_000, seed=31)
-    grid = np.linspace(0.0, 1.0, 41)
+    workers = [apply_knob(human, "a1", v) for v in np.linspace(0.0, 1.0, 41)]
     forget_counts(monkeypatch)
-    sweep(human, spec, AVG, "a1", grid, config, tau=0.4)
-    again = sweep(human, spec, AVG, "a1", grid, config, tau=0.5)
+    estimate_many(workers, spec, AVG, config, [0.4])
+    again = estimate_many(workers, spec, AVG, config, [0.5])
     kept = sum(column.nbytes for column in simulate._carry.columns.values())
     assert 0 < kept <= CHUNK_TRIALS * 2 * spec.n * 8
     forget_counts(monkeypatch)
-    assert again == sweep(human, spec, AVG, "a1", grid, config, tau=0.5)
+    assert again == estimate_many(workers, spec, AVG, config, [0.5])
 
 
 @pytest.mark.parametrize("trials", [3000, CHUNK_TRIALS + 1000])
@@ -761,3 +780,148 @@ def test_a_worker_served_from_the_counts_lends_its_columns(monkeypatch):
     for other, cell in zip(others + sharing, got):
         forget_counts(monkeypatch)
         assert _bits(cell) == _bits(estimate_many([human, other], spec, AVG, config))
+
+
+# --- CRN ability sweeps by per-trial bisection --------------------------------
+
+
+def _bisected_equals_points(worker, spec, model, param, grid, config, monkeypatch, tau=None):
+    """The bisected sweep's estimates, checked equal to ``estimate_many`` on
+    the grid workers, each call on fresh draws."""
+    bisections = _spy(monkeypatch, "_bisected_counts")
+    forget_counts(monkeypatch)
+    got = [pt.estimate for pt in sweep(worker, spec, model, param, grid, config, tau=tau)]
+    assert len(bisections) == 1
+    forget_counts(monkeypatch)
+    assert got == estimate_many([apply_knob(worker, param, v) for v in grid], spec, model, config, [tau])
+    return got
+
+
+_KNOB_CASES = {
+    "a1": (lambda noise: Worker(linear_profile(0.4, noise), constant_profile(0.7, noise)),
+           [0.6, 0.1, 0.6, 0.35, 0.0, 1.0, 0.1]),
+    "a2": (lambda noise: Worker(polynomial_profile(1.5, noise), linear_profile(0.3, noise)),
+           [1.0, 0.0, 0.45, 0.2, 0.45, 0.9]),
+    "c1": (lambda noise: Worker(constant_profile(0.5, noise), linear_profile(0.6, noise)),
+           [0.9, 0.2, 0.55, 0.9, 0.0, 0.4]),
+    "c2": (lambda noise: Worker(linear_profile(0.5, noise), constant_profile(0.5, noise)),
+           [0.3, 1.0, 0.65, 0.1, 0.3]),
+    "beta1": (lambda noise: Worker(polynomial_profile(1.0, noise), linear_profile(0.5, noise)),
+              [3.0, 0.0, 0.5, 3.0, 1.0, 8.0, 0.25]),
+    "beta2": (lambda noise: Worker(linear_profile(0.5, noise), polynomial_profile(2.0, noise)),
+              [0.7, 4.0, 0.1, 1.5, 0.7]),
+}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@pytest.mark.parametrize("kind", ["uniform", "trunc"])
+@pytest.mark.parametrize("param", sorted(_KNOB_CASES))
+def test_bisected_sweep_equals_each_grid_worker(param, kind, p, monkeypatch):
+    # Unsorted grids with duplicates, on either level, for every knob family.
+    make, grid = _KNOB_CASES[param]
+    noise = uniform_noise(0.4) if kind == "uniform" else truncnorm_noise(0.15)
+    worker = replace(make(noise), p=p)
+    got = _bisected_equals_points(worker, tiny_spec(n=3, tau=0.3), AVG, param, grid,
+                                  SimConfig(trials=3000, seed=41), monkeypatch)
+    assert len({est.value for est in got}) > 2
+
+
+@pytest.mark.parametrize("tau, top, values", [(0.0, 1.0, [0.0, 1.0]), (0.0, 0.9, [0.0]), (2.0, 1.0, [1.0])],
+                         ids=["fail-to-pass", "all-fail", "all-pass"])
+def test_bisected_sweep_grids_whose_ends_settle_every_trial(tau, top, values, monkeypatch):
+    # a2 = 1 leaves level 2 without error, so at tau = 0 a trial passes
+    # only at a1 = 1 and fails on every trial below it; tau = 2 passes all.
+    worker = linear_worker(0.5, 1.0, 0.4)
+    got = _bisected_equals_points(worker, tiny_spec(n=3), AVG, "a1", np.linspace(0.0, top, 9),
+                                  SimConfig(trials=2000, seed=43), monkeypatch, tau=tau)
+    assert sorted({got[0].value, got[-1].value}) == values
+
+
+def test_bisected_sweep_spans_chunks_and_ignores_block_size(monkeypatch):
+    spec = load_fixture_job()
+    human = named_worker("human", p=0.3)
+    grid = np.linspace(0.0, 1.0, 11)
+    config = SimConfig(trials=CHUNK_TRIALS + 1_000, seed=47)
+    whole = _bisected_equals_points(human, spec, FIXTURE_MODEL, "a2", grid, config, monkeypatch)
+    monkeypatch.setattr(simulate, "BLOCK_TRIALS", 64)
+    config = SimConfig(trials=3_000, seed=47)
+    small = _bisected_equals_points(human, spec, FIXTURE_MODEL, "a1", grid, config, monkeypatch)
+    monkeypatch.undo()
+    forget_counts(monkeypatch)
+    assert small == [pt.estimate for pt in sweep(human, spec, FIXTURE_MODEL, "a1", grid, config)]
+    assert 0.0 < whole[0].value < whole[-1].value
+
+
+@pytest.mark.parametrize("h, g, f", itertools.product(("average", "sum", "max"), ("average", "weighted", "max"),
+                                                      ("average", "weighted", "max")))
+def test_bisected_sweep_every_model(h, g, f, monkeypatch):
+    spec, worker = _max_case()
+    worker = replace(worker, p=0.3)
+    model = ErrorModel(h=h, g=g, f=f)
+    config = SimConfig(trials=2000, seed=53)
+    # tau at the median error of the mid-grid worker keeps the curve off 0 and 1.
+    errs = np.concatenate([e for _, e in _shared_draw_errors([apply_knob(worker, "a1", 0.5)], spec, model,
+                                                             config.trials, config.seed, 0)])
+    got = _bisected_equals_points(worker, spec, model, "a1", np.linspace(0.0, 1.0, 17), config,
+                                  monkeypatch, tau=float(np.median(errs)))
+    assert (got[0].value, got[-1].value) == (0.0, 1.0) and got[8].value >= 0.5
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("param, p", [("a1", 0.0), ("a1", 0.4), ("a2", 0.3)])
+def test_bisected_sweep_many_seeds_on_the_fixture(param, p, seed, monkeypatch):
+    grid = np.linspace(0.0, 1.0, 41)
+    _bisected_equals_points(named_worker("human", p=p), load_fixture_job(), FIXTURE_MODEL, param, grid,
+                            SimConfig(trials=3000, seed=seed), monkeypatch)
+
+
+def test_bisected_sweep_evaluates_log_grid_times_per_block(monkeypatch):
+    spec = tiny_spec(n=3)
+    worker = linear_worker(0.4, 0.6, 0.3, p=0.2)
+    grid = np.linspace(0.0, 1.0, 41)
+    evaluations = []
+    make = simulate.make_error_evaluator
+
+    def counting(*args):
+        evaluate = make(*args)
+        return lambda zeta: evaluations.append(len(zeta)) or evaluate(zeta)
+
+    monkeypatch.setattr(simulate, "make_error_evaluator", counting)
+    columns = _spy(monkeypatch, "_level_errors")
+    forget_counts(monkeypatch)
+    sweep(worker, spec, AVG, "a1", grid, SimConfig(trials=2 * BLOCK_TRIALS + 100, seed=59))
+    blocks = 3
+    assert len(evaluations) <= blocks * math.ceil(math.log2(len(grid) + 1))
+    assert sorted(set(evaluations)) == [100, BLOCK_TRIALS]
+    assert [c for _, _, _, c, *_ in columns] == [1] * blocks
+
+
+def test_estimate_many_after_a_bisected_sweep_draws_nothing(monkeypatch):
+    spec = load_fixture_job()
+    human = named_worker("human", p=0.4)
+    grid = np.linspace(0.0, 1.0, 21)
+    config = SimConfig(trials=3000, seed=61)
+    forget_counts(monkeypatch)
+    points = sweep(human, spec, FIXTURE_MODEL, "a1", grid, config)
+    draws = _spy(monkeypatch, "_chunk_uniforms")
+    workers = [apply_knob(human, "a1", v) for v in grid[::4]]
+    carried = estimate_many(workers, spec, FIXTURE_MODEL, config)
+    assert draws == []
+    assert carried == [pt.estimate for pt in points[::4]]
+    forget_counts(monkeypatch)
+    assert carried == estimate_many(workers, spec, FIXTURE_MODEL, config)
+
+
+def test_p_sweep_transforms_each_level_twice_per_block(monkeypatch):
+    # Distinct p of one profile pick from its p = 0 and p = 1 columns.
+    spec = tiny_spec(n=3, tau=0.35)
+    worker = linear_worker(0.4, 0.6, 0.3, kind="trunc")
+    grid = [0.0, 0.3, 1.0, 0.3, 0.7, 0.05]
+    config = SimConfig(trials=BLOCK_TRIALS + 8, seed=67)
+    forget_counts(monkeypatch)
+    columns = _spy(monkeypatch, "_level_errors")
+    got = sweep(worker, spec, AVG, "p", grid, config)
+    assert sorted((c, pp) for _, _, pp, c, *_ in columns) == sorted([(0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)] * 2)
+    for value, pt in zip(grid, got):
+        forget_counts(monkeypatch)
+        assert pt.estimate == estimate_success_probability(apply_knob(worker, "p", value), spec, AVG, config)
