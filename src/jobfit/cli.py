@@ -363,6 +363,12 @@ def _cmd_phase(args, argv) -> None:
     if report.at_high < high:
         print(f"warning: high side of the window clipped: mu_c + gamma = {high:.4f}, checked at "
               f"the upper bracket end {args.vary} = {report.at_high:.4f}", file=sys.stderr)
+    # With P = 0 and 1 at the window's ends the Wald stderr is 0 at both, so
+    # a window of any width would pass: the check bounds the width from above only.
+    if report.p_low.value == 0.0 and report.p_high.value == 1.0:
+        print(f"warning: P = 0 at {args.vary} = {report.at_low:.4f} and P = 1 at {args.vary} = "
+              f"{report.at_high:.4f}, both with stderr 0: the check cannot tell whether the window "
+              f"is narrower than predicted", file=sys.stderr)
     _write_outputs(args, argv, {"": _report_text({"kind": "phase", "report": report})})
 
 

@@ -179,9 +179,10 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
 
     Linear models reduce to one dot product; max components fall back to
     explicit h/g/f composition, with a task-level ``max`` taken skill-major
-    as an elementwise ``max`` over contiguous skill rows.  ``max`` is exact
-    in any order and the weighted sums keep a fixed order, so results are
-    bit-reproducible.
+    as an elementwise ``max`` over contiguous skill rows, once per distinct
+    skill set: tasks that need the same skills share one column of the
+    task matrix.  ``max`` is exact in any order and the weighted sums keep
+    a fixed order, so results are bit-reproducible.
     """
     n = spec.n
     if model.is_linear:
@@ -196,6 +197,7 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
     gw = None if model.g == AGG_MAX else _task_weight_matrix(spec, model)
     fv = None if model.f == AGG_MAX else _task_vector(spec, model)
     covered = sorted({j for t in spec.tasks for j in t})
+    skill_sets = [tuple(sorted(t)) for t in spec.tasks]
 
     def general_eval(zeta: np.ndarray) -> np.ndarray:
         zeta = _check_zeta(zeta, n)
@@ -213,7 +215,8 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
         if fv is None:
             # max over tasks of max over their skills = max over covered skills
             return _max_of_rows(rows, covered)[()]
-        return np.stack([_max_of_rows(rows, t) for t in spec.tasks], axis=-1) @ fv
+        maxima = {t: _max_of_rows(rows, t) for t in dict.fromkeys(skill_sets)}
+        return np.stack([maxima[t] for t in skill_sets], axis=-1) @ fv
 
     return general_eval
 

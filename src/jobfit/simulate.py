@@ -17,6 +17,21 @@ advancing the seeded stream there.  The engine runs each chunk in blocks
 of :data:`BLOCK_TRIALS` trials, so its working set is a block, not a
 chunk; the block size changes no bit of any result.
 
+Each call splits its blocks among P processes, P being the number of
+CPUs in the caller's affinity mask (``os.sched_getaffinity``): global
+block g, counted in stream order across chunks, goes to share
+g % min(P, blocks).  The caller computes share 0 while P - 1 peer
+processes, forked on first need and kept for the life of the caller,
+compute one share each from an explicit request (workers, job, model,
+seed, tag, trials, taus and the share's block ranges), so no module
+state of a peer sets a bit.  Replies are integer success counts, each
+block's error vector or first-success histograms; the caller sums the
+counts and rebuilds each chunk's error vector before summing it, so
+every bit is the same for every P.  Peers are forked (not spawned) and
+only from a process with one thread; a call from a process with more
+threads, before its peers exist, runs alone, as does every call on one
+CPU, at one block, or after a peer's pipe broke.
+
 Calls on the same draws (seed, stream tag, trials, model and job
 content) share a carry, kept from the most recent call and replaced
 whole when a call ends.  It holds that call's integer success counts,
@@ -27,7 +42,9 @@ only if the previous call used it too (a worker served from the counts
 counts as used), and reads kept columns instead of computing them; a
 block whose columns all come from the carry draws no uniforms.  Kept
 columns never exceed ``CHUNK_TRIALS * 2n`` doubles, the size of one
-chunk's ``u`` section.  Neither part of the carry changes any bit.
+chunk's ``u`` section.  Each process keeps the rows of its own share
+and reads kept columns only under the split that kept them; the counts
+stay with the caller.  Neither part of the carry changes any bit.
 
 CRN ability sweeps rest on monotone coupling (Glasserman & Yao 1992,
 "Some guidelines and guarantees for common random numbers", Management
@@ -46,7 +63,10 @@ test), not by proof.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import signal
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -64,6 +84,9 @@ CHUNK_TRIALS = 1 << 16
 # BLAS groups rows, and other splits change the bits of the weighted sums.
 BLOCK_TRIALS = 1 << 12
 _BRUTE_BLOCK = 1 << 22
+# Processes a call splits its blocks among; None means one per CPU of the
+# affinity mask.  The split changes no bit of any result.
+_PROCESSES: int | None = None
 
 
 @dataclass(frozen=True)
@@ -128,6 +151,13 @@ def _chunk_streams(trials: int):
         idx += 1
 
 
+def _call_blocks(trials: int) -> list[tuple[int, int, int, int]]:
+    """Every (chunk, count, a, b) block of a call on ``trials`` trials, in
+    stream order: rows a..b-1 of a chunk of ``count`` trials."""
+    return [(chunk, count, a, min(a + BLOCK_TRIALS, count))
+            for chunk, count in _chunk_streams(trials) for a in range(0, count, BLOCK_TRIALS)]
+
+
 def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
                     need_sel: bool = True, rows: tuple[int, int] | None = None, out=None):
     """Fixed-layout uniforms for one chunk: (u, beta, selector), or with
@@ -162,9 +192,9 @@ def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
 _scratch = threading.local()
 
 
-def _block_uniforms(n: int):
-    """This thread's (u, beta) arrays for blocks of :data:`BLOCK_TRIALS`
-    rows over n skills, the ``out`` of :func:`_chunk_uniforms`.
+def _block_uniforms(n: int, rows: int):
+    """This thread's (u, beta) arrays for blocks of up to ``rows`` rows
+    over n skills, the ``out`` of :func:`_chunk_uniforms`.
 
     Every block of every call draws u and beta.  Drawn into fresh arrays,
     they went back to the kernel and were faulted in again, block after
@@ -176,8 +206,8 @@ def _block_uniforms(n: int):
     workloads.  No block reads what an earlier block drew, so generators
     of one thread may interleave at their yields."""
     arrays = getattr(_scratch, "uniforms", None)
-    if arrays is None or arrays[0].shape != (BLOCK_TRIALS, n, 2):
-        arrays = _scratch.uniforms = (np.empty((BLOCK_TRIALS, n, 2)), np.empty(BLOCK_TRIALS))
+    if arrays is None or arrays[0].shape != (rows, n, 2):
+        arrays = _scratch.uniforms = (np.empty((rows, n, 2)), np.empty(rows))
     return arrays
 
 
@@ -204,33 +234,58 @@ def _column_keys(workers) -> dict:
     return dict.fromkeys((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
 
 
-def _shared_draw_errors(workers: list[Worker], spec: JobSpec, model: ErrorModel,
-                        trials: int, seed: int, tag: int, carried=None, keep=None):
-    """Yield ``(i, job errors)`` per chunk for every worker i, all workers on
-    the chunk's one draw.  Each chunk runs in blocks of :data:`BLOCK_TRIALS`
-    trials that write into one (workers, count) error array; within a
-    block, a level column that several workers share (same level, profile
-    and p) is computed once and kept only until its last use.  A (level,
-    profile) computed at two or more p transforms u and beta once each per
-    block (its p = 0 and p = 1 columns) and picks per p; ``quantile`` is
-    elementwise, so each pick equals its own transform, bit for bit.
+@dataclass(frozen=True, eq=False)
+class _Draws:
+    """What fixes a call's uniforms and the job they go through."""
+
+    spec: JobSpec
+    model: ErrorModel
+    seed: int
+    tag: int
+    trials: int
+
+    def key(self) -> tuple:
+        spec = self.spec
+        return (self.seed, self.tag, self.trials, self.model, spec.tasks,
+                spec.s1.tobytes(), spec.s2.tobytes(), spec.w.tobytes(), spec.v.tobytes())
+
+
+def _block_arrays(n: int, blocks):
+    """This thread's u and beta arrays and a fresh level-major zeta array,
+    all sized for the largest of ``blocks``."""
+    rows = max(b - a for *_, a, b in blocks)
+    return _block_uniforms(n, rows), np.empty((2, rows, n))
+
+
+def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=None, keep=None):
+    """Yield ``(chunk, spans, err)`` for each chunk that ``blocks`` reach, in
+    order, all workers on the chunk's one draw: ``err`` is the chunk's
+    (workers, count) job error array, written at the (a, b) row ``spans``
+    of those blocks.  Within a block, a level column that several workers
+    share (same level, profile and p) is computed once and kept only until
+    its last use.  A (level, profile) computed at two or more p transforms
+    u and beta once each per block (its p = 0 and p = 1 columns) and picks
+    per p; ``quantile`` is elementwise, so each pick equals its own
+    transform, bit for bit.
 
     ``carried`` and ``keep`` map column keys to whole (trials, n) columns:
     a carried column is read instead of computed, and a computed column
     whose key is in ``keep`` is also written there.  A block that needs no
     column beyond the carried ones draws no uniforms."""
+    spec, seed, tag = draws.spec, draws.seed, draws.tag
     carried, keep = carried or {}, keep or {}
-    evaluate = make_error_evaluator(spec, model)
+    evaluate = make_error_evaluator(spec, draws.model)
     uses = Counter((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
     missing = [key for key in uses if key not in carried]
     need_sel = any(p > 0.0 for _, _, p in missing)
     at_many_p = {pair for pair, k in Counter((col, prof) for col, prof, _ in missing).items() if k > 1}
     pair_uses = Counter((col, prof) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
-    out, zetas = _block_uniforms(spec.n), np.empty((2, min(BLOCK_TRIALS, trials), spec.n))
-    for chunk, count in _chunk_streams(trials):
+    out, zetas = _block_arrays(spec.n, blocks)
+    for chunk, group in itertools.groupby(blocks, key=lambda block: block[0]):
+        group = list(group)
+        count, spans = group[0][1], [(a, b) for *_, a, b in group]
         err = np.empty((len(workers), count))
-        for a in range(0, count, BLOCK_TRIALS):
-            b = min(a + BLOCK_TRIALS, count)
+        for a, b in spans:
             rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
             if missing:
                 u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel, rows=(a, b),
@@ -261,58 +316,84 @@ def _shared_draw_errors(workers: list[Worker], spec: JobSpec, model: ErrorModel,
                         ends.pop(pair, None)
                     zeta[:, :, col] = errs
                 err[i, a:b] = evaluate(zeta)
-        yield from enumerate(err)
+        yield chunk, spans, err
         del err
 
 
-def _bisected_counts(worker: Worker, col: int, profiles: list[AbilityProfile], spec: JobSpec,
-                     model: ErrorModel, config: SimConfig, tau: float, carried, keep) -> np.ndarray:
-    """Success counts of ``worker`` with level ``col + 1`` set to each of
-    ``profiles``, in order of non-decreasing mean ability, by bisection per
-    trial.
+def _count_share(draws: _Draws, todo: list[Worker], used: dict, taus: list[float], blocks, split):
+    """Share of ``estimate_many``: the (worker, tau) success counts of
+    ``todo`` on ``blocks``, and this process's next carry."""
+    carry, carried, keep = _share_columns(draws, split, used, _column_keys(todo))
+    counts = np.zeros((len(todo), len(taus)), dtype=np.int64)
+    for _, spans, err in _shared_draw_errors(todo, draws, blocks, carried, keep):
+        for a, b in spans:
+            for j, t in enumerate(taus):
+                counts[:, j] += np.count_nonzero(err[:, a:b] <= t, axis=1)
+        del err  # else it would stay alive through the next chunk
+    return counts, _next_carry(carry, used, carried, keep, split)
+
+
+def _error_share(draws: _Draws, worker: Worker, blocks, split):
+    """Share of ``estimate_err_avg``: the (chunk, a, b, errors) of each of
+    ``blocks``, and this process's next carry."""
+    used = _column_keys([worker])
+    carry, carried, keep = _share_columns(draws, split, used, used)
+    pieces = [(chunk, a, b, err[0, a:b]) for chunk, spans, err in
+              _shared_draw_errors([worker], draws, blocks, carried, keep) for a, b in spans]
+    return pieces, _next_carry(carry, used, carried, keep, split)
+
+
+def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], used: dict,
+                     tau: float, blocks, split):
+    """Share of a bisected sweep: on ``blocks``, how many trials of
+    ``worker``, with level ``col + 1`` set to each of ``profiles`` (in
+    order of non-decreasing mean ability), first succeed at each index in
+    [0, K] (K when none succeeds), by bisection per trial; and this
+    process's next carry.
 
     Each block computes the other level's column once (or reads it from
-    ``carried``, or writes it to ``keep``, as :func:`_shared_draw_errors`
-    does) and this level's uniforms once.  Each trial's first successful
-    index in [0, K] (K when none succeeds) then takes ``K.bit_length()``,
-    that is ceil(log2(K + 1)), whole-block evaluations, each at every
-    row's own midpoint: the row's per-difficulty terms are gathered from
-    its profile and go through the unchanged transform and evaluator, with
-    every row at its position in the block.  The count at index k is the
-    number of trials whose first success is at most k."""
+    the carry, or keeps it there, as :func:`_shared_draw_errors` does) and
+    this level's uniforms once.  Each trial's first successful index then
+    takes ``K.bit_length()``, that is ceil(log2(K + 1)), whole-block
+    evaluations, each at every row's own midpoint: the row's
+    per-difficulty terms are gathered from its profile and go through the
+    unchanged transform and evaluator, with every row at its position in
+    the block.  The success count at index k is the number of trials whose
+    first success is at most k."""
+    spec = draws.spec
     n, p, fixed = spec.n, worker.p, 1 - col
     levels = ((worker.alpha1, spec.s1), (worker.alpha2, spec.s2))
     (fixed_prof, fixed_s), s = levels[fixed], levels[col][1]
     fixed_key = (fixed, fixed_prof, p)
+    carry, carried, keep = _share_columns(draws, split, used, [fixed_key])
     terms = [np.concatenate(parts) for parts in zip(*(_terms(prof, s[None, :]) for prof in profiles))]
     last = len(profiles) - 1
-    evaluate = make_error_evaluator(spec, model)
+    evaluate = make_error_evaluator(spec, draws.model)
     firsts = np.zeros(len(profiles) + 1, dtype=np.int64)
-    out, zetas = _block_uniforms(n), np.empty((2, min(BLOCK_TRIALS, config.trials), n))
-    for chunk, count in _chunk_streams(config.trials):
-        for a in range(0, count, BLOCK_TRIALS):
-            b = min(a + BLOCK_TRIALS, count)
-            rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
-            u, beta, sel = _chunk_uniforms(config.seed, 0, chunk, count, n, need_sel=p > 0.0, rows=(a, b), out=out)
-            zeta = zetas[:, :b - a].transpose(1, 2, 0)
-            if fixed_key in carried:
-                zeta[:, :, fixed] = carried[fixed_key][rows]
-            else:
-                zeta[:, :, fixed] = _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel)
-                if fixed_key in keep:
-                    keep[fixed_key][rows] = zeta[:, :, fixed]
-            q, x = _level_uniforms(p, col, u, beta, sel), np.empty((b - a, n))
-            lo, hi = np.zeros(b - a, dtype=np.intp), np.full(b - a, last + 1, dtype=np.intp)
-            for _ in range(len(profiles).bit_length()):
-                # A settled row (lo == hi) keeps its bounds whatever it reads.
-                mid = (lo + hi) // 2
-                _transform(profiles[0], [term[np.minimum(mid, last)] for term in terms], q, x)
-                np.subtract(1.0, x, out=zeta[:, :, col])
-                ok = evaluate(zeta) <= tau
-                hi = np.where(ok, mid, hi)
-                lo = np.where(ok, lo, np.minimum(mid + 1, hi))
-            firsts += np.bincount(lo, minlength=last + 2)
-    return np.cumsum(firsts)[:-1]
+    out, zetas = _block_arrays(n, blocks)
+    for chunk, count, a, b in blocks:
+        rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
+        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, need_sel=p > 0.0, rows=(a, b),
+                                       out=out)
+        zeta = zetas[:, :b - a].transpose(1, 2, 0)
+        if fixed_key in carried:
+            zeta[:, :, fixed] = carried[fixed_key][rows]
+        else:
+            zeta[:, :, fixed] = _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel)
+            if fixed_key in keep:
+                keep[fixed_key][rows] = zeta[:, :, fixed]
+        q, x = _level_uniforms(p, col, u, beta, sel), np.empty((b - a, n))
+        lo, hi = np.zeros(b - a, dtype=np.intp), np.full(b - a, last + 1, dtype=np.intp)
+        for _ in range(len(profiles).bit_length()):
+            # A settled row (lo == hi) keeps its bounds whatever it reads.
+            mid = (lo + hi) // 2
+            _transform(profiles[0], [term[np.minimum(mid, last)] for term in terms], q, x)
+            np.subtract(1.0, x, out=zeta[:, :, col])
+            ok = evaluate(zeta) <= tau
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, np.minimum(mid + 1, hi))
+        firsts += np.bincount(lo, minlength=last + 2)
+    return firsts, _next_carry(carry, used, carried, keep, split)
 
 
 def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) -> SimEstimate:
@@ -327,36 +408,183 @@ def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) 
 class _Carry:
     """What the most recent call leaves for the next call on its draws:
     the draws key, the success count of each (worker, tau) it counted, the
-    column keys it used and the level columns it kept."""
+    column keys it used, the level columns it kept and the (share, shares)
+    split whose rows they hold."""
 
     key: tuple | None = None
     counts: dict = field(default_factory=dict)
     used: frozenset = frozenset()
     columns: dict = field(default_factory=dict)
+    split: tuple = (0, 1)
 
 
-# A call reads the carry once and replaces it whole when it ends.
+# A call reads the carry when it starts and replaces it whole when it ends.
 _carry = _Carry()
 
 
-def _carry_for(spec: JobSpec, model: ErrorModel, config: SimConfig, tag: int) -> _Carry:
+def _carry_for(draws: _Draws) -> _Carry:
     """The carry if the most recent call ran on these draws, else an empty
     carry for them."""
-    key = (config.seed, tag, config.trials, model, spec.tasks,
-           spec.s1.tobytes(), spec.s2.tobytes(), spec.w.tobytes(), spec.v.tobytes())
+    key = draws.key()
     carry = _carry
     return carry if carry.key == key else _Carry(key)
 
 
-def _plan_columns(carry: _Carry, used: dict, computed, trials: int, n: int):
-    """The carried columns a call uses, and fresh (trials, n) arrays for
-    the ``computed`` column keys that the previous call also used, as
-    many as fit beside the carried ones in ``CHUNK_TRIALS * 2n`` doubles.
-    Both go into the next carry."""
-    carried = {key: carry.columns[key] for key in used if key in carry.columns}
-    room = 2 * CHUNK_TRIALS // trials - len(carried)
+def _share_columns(draws: _Draws, split: tuple, used: dict, computed):
+    """This process's carry for ``draws``, the carried columns a share
+    reads (kept under the same split) and fresh (trials, n) arrays to keep
+    for the ``computed`` column keys that the previous call also used, as
+    many as fit beside the carried ones in ``CHUNK_TRIALS * 2n`` doubles."""
+    carry = _carry_for(draws)
+    carried = {key: carry.columns[key] for key in used if key in carry.columns} if carry.split == split else {}
+    room = 2 * CHUNK_TRIALS // draws.trials - len(carried)
     fresh = [key for key in computed if key in carry.used and key not in carried][:room]
-    return carried, {key: np.empty((trials, n)) for key in fresh}
+    return carry, carried, {key: np.empty((draws.trials, draws.spec.n)) for key in fresh}
+
+
+def _next_carry(carry: _Carry, used: dict, carried: dict, keep: dict, split: tuple) -> _Carry:
+    return _Carry(carry.key, carry.counts, frozenset(used), {**carried, **keep}, split)
+
+
+# --- splitting a call's blocks among processes -----------------------------
+
+# The share functions a request may name.
+_SHARES = frozenset({"_count_share", "_error_share", "_bisected_counts"})
+
+
+def _share(name: str):
+    """The share function named ``name``, looked up by name when a share
+    runs, so that the module's own attribute runs."""
+    if name not in _SHARES:
+        raise ParameterError(f"no share function {name!r}")
+    return globals()[name]
+
+
+def _processes() -> int:
+    """P: :data:`_PROCESSES`, else the CPUs this process may run on."""
+    if _PROCESSES is not None:
+        return _PROCESSES
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _Peers:
+    """Peer processes forked from this process, each with the caller's end
+    of its pipe, kept until the process exits or a round trip breaks."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()  # held for a whole round trip
+        self.owner = os.getpid()
+        self.peers: list = []
+        self.broken = False
+
+    def take(self, count: int) -> list:
+        """Up to ``count`` live peers.  Missing peers are forked, but only
+        while this process runs one thread: ``fork`` copies no other
+        thread, whatever locks those hold."""
+        if self.owner != os.getpid():  # inherited through os.fork: the parent's
+            self.owner, self.peers, self.broken = os.getpid(), [], False
+        while not self.broken and len(self.peers) < count and threading.active_count() == 1:
+            import multiprocessing  # here, so that importing jobfit costs nothing
+
+            context = multiprocessing.get_context("fork")
+            ours, theirs = context.Pipe()
+            process = context.Process(target=_serve, args=(ours, theirs), name="jobfit-peer", daemon=True)
+            try:
+                process.start()
+            except OSError:  # no process to be had: this call and later ones run here
+                ours.close()
+                self.close()
+            else:
+                self.peers.append((process, ours))
+            finally:
+                theirs.close()
+        return [] if self.broken else self.peers[:count]
+
+    def close(self) -> None:
+        """Stop every peer, so that no reply is left to read; later calls
+        run in this process."""
+        self.broken = True
+        for process, conn in self.peers:
+            conn.close()
+            process.terminate()
+            process.join(timeout=10)
+        self.peers = []
+
+
+_peers = _Peers()
+
+
+def _serve(caller_end, conn) -> None:
+    """A peer's loop: compute each request's share and send the result
+    back (or the exception it raised), until the caller's end closes."""
+    global _carry
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    caller_end.close()
+    for _, other in _peers.peers:  # the caller's ends of earlier peers
+        other.close()
+    while True:
+        try:
+            share, draws, args, blocks, split = conn.recv()
+        except EOFError:
+            return
+        try:
+            result, _carry = _share(share)(draws, *args, blocks, split)
+            reply = (True, result)
+        except Exception as exc:  # raised again by the caller
+            reply = (False, exc)
+        conn.send(reply)
+
+
+def _round_trip(peers: list, requests: list, own):
+    """Send each peer its request, run ``own`` meanwhile and read every
+    reply: ``(own's result, the peers' results)``.  None when a pipe
+    broke; every peer is then closed, as on an interrupt, so that no later
+    call reads a stale reply."""
+    try:
+        for (_, conn), request in zip(peers, requests):
+            conn.send(request)
+        try:
+            mine, failure = own(), None
+        except Exception as exc:  # raised once the peers have replied
+            mine, failure = None, exc
+        replies = [conn.recv() for _, conn in peers]
+    except (EOFError, OSError):
+        _peers.close()
+        return None
+    except BaseException:
+        _peers.close()
+        raise
+    if failure is not None:
+        raise failure
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return mine, [value for _, value in replies]
+
+
+def _run_shares(share: str, draws: _Draws, args: tuple) -> tuple[list, _Carry]:
+    """Run the share function ``share`` over every block of a call on
+    ``draws``, split among this process and its peers (see the module
+    docstring): the shares' results in share order, and this process's
+    next carry.  A call that cannot use peers, or whose round trip broke,
+    runs every block here."""
+    blocks = _call_blocks(draws.trials)
+    run = _share(share)
+    wanted = min(_processes(), len(blocks)) - 1
+    if wanted > 0 and _peers.lock.acquire(blocking=False):
+        try:
+            peers = _peers.take(wanted)
+            shares = len(peers) + 1
+            done = peers and _round_trip(
+                peers, [(share, draws, args, blocks[j::shares], (j, shares)) for j in range(1, shares)],
+                lambda: run(draws, *args, blocks[::shares], (0, shares)))
+        finally:
+            _peers.lock.release()
+        if done:
+            (mine, carry), theirs = done
+            return [mine, *theirs], carry
+    mine, carry = run(draws, *args, blocks, (0, 1))
+    return [mine], carry
 
 
 def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig | None = None,
@@ -378,19 +606,20 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     if not workers:
         raise ParameterError("need at least one worker")
     taus = [float(spec.tau if t is None else t) for t in ([None] if taus is None else taus)]
-    carry = _carry_for(spec, model, config, _tag)
+    draws = _Draws(spec, model, config.seed, _tag, config.trials)
+    carry = _carry_for(draws)
     successes = {(w, t): carry.counts.get((w, t)) for w in workers for t in taus}
     todo = list(dict.fromkeys(w for (w, _), k in successes.items() if k is None))
     distinct_taus = list(dict.fromkeys(taus))
-    successes.update(((w, t), 0) for w in todo for t in distinct_taus)
     used = _column_keys(workers)
-    carried, keep = _plan_columns(carry, used, _column_keys(todo), config.trials, spec.n)
     if todo:
-        for i, err in _shared_draw_errors(todo, spec, model, config.trials, config.seed, _tag, carried, keep):
-            for t in distinct_taus:
-                successes[todo[i], t] += int((err <= t).sum())
-            del err  # a row view would keep its chunk's error array alive through the next chunk
-    _carry = _Carry(carry.key, successes, frozenset(used), {**carried, **keep})
+        parts, carry = _run_shares("_count_share", draws, (todo, used, distinct_taus))
+        counts = sum(parts).tolist()
+        successes.update(((w, t), k) for w, row in zip(todo, counts) for t, k in zip(distinct_taus, row))
+    else:
+        carry = replace(carry, used=frozenset(used),
+                        columns={key: carry.columns[key] for key in used if key in carry.columns})
+    _carry = replace(carry, counts=successes)
     return [_binomial_estimate(successes[w, t], config.trials, config.seed, config.ci_level)
             for w in workers for t in taus]
 
@@ -450,15 +679,16 @@ def estimate_err_avg(
     leaves the carried success counts as they are."""
     global _carry
     config = config or SimConfig()
-    carry = _carry_for(spec, model, config, _tag)
-    used = _column_keys([worker])
-    carried, keep = _plan_columns(carry, used, used, config.trials, spec.n)
+    pieces, _carry = _run_shares("_error_share", _Draws(spec, model, config.seed, _tag, config.trials), (worker,))
+    # Each chunk's errors are summed whole, as one vector, whatever the split.
+    errors = [np.empty(count) for _, count in _chunk_streams(config.trials)]
+    for chunk, a, b, err in itertools.chain.from_iterable(pieces):
+        errors[chunk][a:b] = err
     total = 0.0
     total_sq = 0.0
-    for _, err in _shared_draw_errors([worker], spec, model, config.trials, config.seed, _tag, carried, keep):
+    for err in errors:
         total += float(err.sum())
         total_sq += float((err**2).sum())
-    _carry = _Carry(carry.key, carry.counts, frozenset(used), {**carried, **keep})
     nt = config.trials
     mean = total / nt
     var = max(0.0, (total_sq - nt * mean * mean) / max(1, nt - 1))
@@ -530,16 +760,12 @@ def _bisected_sweep(worker: Worker, col: int, grid: list[float], workers: list[W
     tau = float(spec.tau if tau is None else tau)
     by_value = dict(zip(grid, workers))
     values = sorted(by_value)
-    carry = _carry_for(spec, model, config, 0)
-    used = _column_keys(workers)
-    fixed = 1 - col
-    carried, keep = _plan_columns(carry, used, [(fixed, worker.profile(fixed + 1), worker.p)], config.trials, spec.n)
-    counts = _bisected_counts(worker, col, [by_value[v].profile(col + 1) for v in values],
-                              spec, model, config, tau, carried, keep)
-    count_at = dict(zip(values, counts.tolist()))
-    successes = {(w, tau): count_at[v] for v, w in zip(grid, workers)}
-    _carry = _Carry(carry.key, successes, frozenset(used), {**carried, **keep})
-    return [_binomial_estimate(successes[w, tau], config.trials, config.seed, config.ci_level) for w in workers]
+    profiles = [by_value[v].profile(col + 1) for v in values]
+    firsts, carry = _run_shares("_bisected_counts", _Draws(spec, model, config.seed, 0, config.trials),
+                                (worker, col, profiles, _column_keys(workers), tau))
+    count_at = dict(zip(values, np.cumsum(sum(firsts))[:-1].tolist()))
+    _carry = replace(carry, counts={(w, tau): count_at[v] for v, w in zip(grid, workers)})
+    return [_binomial_estimate(count_at[v], config.trials, config.seed, config.ci_level) for v in grid]
 
 
 def sweep(

@@ -398,3 +398,17 @@ def test_seed_default_is_fixed(capsys, tmp_path):
         assert run(capsys, "estimate", "--worker", "ai", "--trials", "800",
                    "--out", str(path))[0] == 0
     assert a.read_text() == b.read_text()
+
+
+def test_phase_warns_when_both_ends_have_stderr_zero(capsys):
+    # The balanced job's window ends read P = 0 and P = 1 exactly, so the
+    # check passes whatever the window's width; the report stays as it is.
+    argv = ["phase", "--job", "balanced:n=20,m=20,k=4,seed=111225,tau=0.25", "--a1", "0.6", "--a2", "0.4",
+            "--sigma", "0.1", "--theta", "0.2", "--trials", "2000"]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0 and "verified = True" in stdout
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: P = 0 at a1 = 0.")
+    assert lines[0].endswith("both with stderr 0: the check cannot tell whether the window is narrower "
+                             "than predicted")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jobfit.dataio import load_fixture_job
 from jobfit.errors import NotLinearError, ParameterError, ShapeError
 from jobfit.job import (
     ErrorModel,
@@ -243,3 +244,19 @@ def test_evaluator_bit_identical_to_reference():
                 got, want = evaluate(zeta), reference(zeta)
                 assert type(got) is type(want) and np.shape(got) == np.shape(want) == lead
                 assert np.array_equal(got, want), (spec.tasks, model, lead)
+
+
+def test_task_max_of_repeated_skill_sets_equals_per_task_bits():
+    # g = max under a weighted f: each distinct skill set's max is taken
+    # once and stacked in task order, so the matrix under @ fv is the same.
+    rng = np.random.default_rng(13)
+    repeated = balanced_job(8, 32, 3, rng.uniform(size=8), rng.uniform(size=8), 0.5)
+    reordered = JobSpec([0.2, 0.4, 0.6], [0.3, 0.5, 0.7], ((0, 2), (2, 0), (1,), (0, 2, 1), (1, 2, 0)),
+                        [0.3, 0.9, 0.5], [0.4, 1.0, 0.2, 0.7, 0.1], 0.5)
+    assert len(set(repeated.tasks)) == 8 < repeated.m
+    for spec in (repeated, reordered, load_fixture_job()):
+        for h, f in itertools.product(("average", "sum", "max"), ("average", "weighted")):
+            model = ErrorModel(h, "max", f)
+            zeta = rng.uniform(size=(4_099, spec.n, 2))
+            got, want = make_error_evaluator(spec, model)(zeta), reference_evaluator(spec, model)(zeta)
+            assert got.tobytes() == want.tobytes(), (spec.tasks, model)

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +36,9 @@ from jobfit.simulate import (
     SimConfig,
     SimEstimate,
     Worker,
+    _call_blocks,
     _chunk_uniforms,
+    _Draws,
     _level_errors,
     _shared_draw_errors,
     apply_knob,
@@ -58,6 +65,13 @@ def tiny_spec(n=2, tau=0.5, seed=0):
     tasks = tuple((j,) for j in range(n))
     return JobSpec(rng.uniform(size=n), rng.uniform(size=n), tasks,
                    np.ones(n), np.ones(n), tau)
+
+
+def errors_by_chunk(workers, spec, model, trials, seed, tag):
+    """``(i, job errors)`` of every worker i per chunk, all blocks of a call
+    on ``trials`` trials in one process."""
+    for _, _, err in _shared_draw_errors(workers, _Draws(spec, model, seed, tag, trials), _call_blocks(trials)):
+        yield from enumerate(err)
 
 
 def chunk_errors(worker, spec, count=8, seed=1):
@@ -421,7 +435,7 @@ def test_full_chunks_do_not_depend_on_run_length():
     workers = list(dict.fromkeys(workers))[:4]
 
     def full_chunks(trials):
-        errs = [err for _, err in _shared_draw_errors(workers, spec, AVG, trials, 13, 0)]
+        errs = [err for _, err in errors_by_chunk(workers, spec, AVG, trials, 13, 0)]
         return [e.tobytes() for e in errs[:len(workers) * (trials // CHUNK_TRIALS)]]
 
     longest = full_chunks(2 * CHUNK_TRIALS + 1)
@@ -457,7 +471,7 @@ def test_chunk_uniforms_row_blocks_concatenate_to_chunk(count, n, rows, need_sel
 
 def _error_bytes(workers, spec, model, trials, block, monkeypatch):
     monkeypatch.setattr(simulate, "BLOCK_TRIALS", block)
-    return [(i, err.tobytes()) for i, err in _shared_draw_errors(workers, spec, model, trials, 21, 4)]
+    return [(i, err.tobytes()) for i, err in errors_by_chunk(workers, spec, model, trials, 21, 4)]
 
 
 def test_shared_draw_errors_do_not_depend_on_block_size(monkeypatch):
@@ -476,7 +490,7 @@ def test_interleaved_engine_calls_of_one_thread_share_block_uniforms_safely():
              ([linear_worker(0.5, 0.5, 0.4, kind="trunc", p=0.8)], 19)]
 
     def run(workers, seed):
-        return _shared_draw_errors(workers, spec, AVG, CHUNK_TRIALS + 500, seed, 0)
+        return errors_by_chunk(workers, spec, AVG, CHUNK_TRIALS + 500, seed, 0)
 
     alone = [[err.tobytes() for _, err in run(*call)] for call in calls]
     turns = [[], []]
@@ -860,8 +874,8 @@ def test_bisected_sweep_every_model(h, g, f, monkeypatch):
     model = ErrorModel(h=h, g=g, f=f)
     config = SimConfig(trials=2000, seed=53)
     # tau at the median error of the mid-grid worker keeps the curve off 0 and 1.
-    errs = np.concatenate([e for _, e in _shared_draw_errors([apply_knob(worker, "a1", 0.5)], spec, model,
-                                                             config.trials, config.seed, 0)])
+    errs = np.concatenate([e for _, e in errors_by_chunk([apply_knob(worker, "a1", 0.5)], spec, model,
+                                                         config.trials, config.seed, 0)])
     got = _bisected_equals_points(worker, spec, model, "a1", np.linspace(0.0, 1.0, 17), config,
                                   monkeypatch, tau=float(np.median(errs)))
     assert (got[0].value, got[-1].value) == (0.0, 1.0) and got[8].value >= 0.5
@@ -887,6 +901,7 @@ def test_bisected_sweep_evaluates_log_grid_times_per_block(monkeypatch):
         return lambda zeta: evaluations.append(len(zeta)) or evaluate(zeta)
 
     monkeypatch.setattr(simulate, "make_error_evaluator", counting)
+    monkeypatch.setattr(simulate, "_PROCESSES", 1)  # counts the blocks of this process
     columns = _spy(monkeypatch, "_level_errors")
     forget_counts(monkeypatch)
     sweep(worker, spec, AVG, "a1", grid, SimConfig(trials=2 * BLOCK_TRIALS + 100, seed=59))
@@ -919,9 +934,198 @@ def test_p_sweep_transforms_each_level_twice_per_block(monkeypatch):
     grid = [0.0, 0.3, 1.0, 0.3, 0.7, 0.05]
     config = SimConfig(trials=BLOCK_TRIALS + 8, seed=67)
     forget_counts(monkeypatch)
+    monkeypatch.setattr(simulate, "_PROCESSES", 1)  # counts the blocks of this process
     columns = _spy(monkeypatch, "_level_errors")
     got = sweep(worker, spec, AVG, "p", grid, config)
     assert sorted((c, pp) for _, _, pp, c, *_ in columns) == sorted([(0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)] * 2)
     for value, pt in zip(grid, got):
         forget_counts(monkeypatch)
         assert pt.estimate == estimate_success_probability(apply_knob(worker, "p", value), spec, AVG, config)
+
+
+# --- blocks split among processes ---------------------------------------------
+
+
+def _at(p, monkeypatch):
+    """Split the next calls among ``p`` processes, on fresh draws."""
+    monkeypatch.setattr(simulate, "_PROCESSES", p)
+    forget_counts(monkeypatch)
+
+
+@pytest.fixture
+def own_peers(monkeypatch):
+    """A peer set of the test's own, closed when the test ends."""
+    peers = simulate._Peers()
+    monkeypatch.setattr(simulate, "_peers", peers)
+    yield peers
+    peers.close()
+
+
+@pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS + 1, CHUNK_TRIALS + 1, 200_000])
+def test_estimate_many_does_not_depend_on_the_split(trials, monkeypatch):
+    # p = 0 and p > 0, select profiles and several taus.
+    spec, workers = _many_case()
+    config = SimConfig(trials=trials, seed=71)
+    runs = []
+    for p in (1, 2, 3):
+        _at(p, monkeypatch)
+        runs.append(_bits(estimate_many(workers, spec, AVG, config, [0.3, None, 0.6])))
+    assert runs[0] == runs[1] == runs[2]
+    assert len(set(runs[0])) > 3
+
+
+@pytest.mark.parametrize("kind", ["uniform", "trunc"])
+def test_err_avg_does_not_depend_on_the_split(kind, monkeypatch):
+    spec, worker = tiny_spec(n=3), linear_worker(0.4, 0.6, 0.3, p=0.3, kind=kind)
+    runs = []
+    for p in (1, 2, 3):
+        _at(p, monkeypatch)
+        runs.append([_bits([estimate_err_avg(worker, spec, AVG, SimConfig(trials=trials, seed=73)).estimate])
+                     for trials in (BLOCK_TRIALS + 1, 2 * CHUNK_TRIALS + 3_000)])
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("param, grid", [("a1", np.linspace(0.0, 1.0, 21)), ("p", [0.0, 0.3, 1.0, 0.6])])
+def test_sweeps_do_not_depend_on_the_split(param, grid, monkeypatch):
+    spec, human = load_fixture_job(), named_worker("human", p=0.3)
+    runs = []
+    for p in (1, 2, 3):
+        _at(p, monkeypatch)
+        runs.append([pt.estimate for pt in sweep(human, spec, FIXTURE_MODEL, param, grid,
+                                                 SimConfig(trials=CHUNK_TRIALS + 5_000, seed=79))])
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("first, then", [(2, 1), (1, 2), (2, 3)])
+def test_a_call_after_a_call_under_another_split_equals_a_fresh_call(first, then, monkeypatch):
+    # The first call's carry holds the counts of its taus and the columns of
+    # its own share; a second tau evaluates every worker again.
+    spec, workers = _many_case()
+    config = SimConfig(trials=3 * BLOCK_TRIALS + 50, seed=83)
+    for p in (first, first, then):
+        monkeypatch.setattr(simulate, "_PROCESSES", p)
+        counted = estimate_many(workers, spec, AVG, config, [0.4 + 0.05 * p])
+        err_avg = estimate_err_avg(workers[1], spec, AVG, config).estimate
+    for p in (first, then):
+        _at(p, monkeypatch)
+        assert _bits(estimate_many(workers, spec, AVG, config, [0.4 + 0.05 * then])) == _bits(counted)
+        _at(p, monkeypatch)
+        assert estimate_err_avg(workers[1], spec, AVG, config).estimate == err_avg
+
+
+def test_block_size_patched_after_the_peers_exist(monkeypatch):
+    spec, workers = _many_case()
+    config = SimConfig(trials=CHUNK_TRIALS + 1_000, seed=89)
+    _at(1, monkeypatch)
+    alone = _bits(estimate_many(workers, spec, AVG, config))
+    _at(3, monkeypatch)
+    estimate_many(workers, spec, AVG, SimConfig(trials=3 * BLOCK_TRIALS, seed=90))
+    monkeypatch.setattr(simulate, "BLOCK_TRIALS", 64)
+    forget_counts(monkeypatch)
+    assert _bits(estimate_many(workers, spec, AVG, config)) == alone
+
+
+def test_a_peer_error_is_raised_by_the_caller(own_peers, monkeypatch):
+    monkeypatch.setattr(simulate, "_PROCESSES", 2)
+    peers = own_peers.take(1)
+    with pytest.raises(ParameterError, match="no share function"):
+        simulate._round_trip(peers, [("estimate_many", None, (), [], (1, 2))], lambda: None)
+    spec, workers = _many_case()
+    config = SimConfig(trials=2 * BLOCK_TRIALS, seed=97)
+    split = _bits(estimate_many(workers, spec, AVG, config))
+    assert own_peers.peers == peers
+    _at(1, monkeypatch)
+    assert split == _bits(estimate_many(workers, spec, AVG, config))
+
+
+def test_a_killed_peer_leaves_the_next_call_in_this_process(own_peers, monkeypatch):
+    spec, workers = _many_case()
+    config = SimConfig(trials=CHUNK_TRIALS + 1, seed=101)
+    _at(1, monkeypatch)
+    alone = _bits(estimate_many(workers, spec, AVG, config))
+    _at(2, monkeypatch)
+    assert _bits(estimate_many(workers, spec, AVG, config)) == alone
+    (process, _), = own_peers.peers
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(timeout=30)
+    assert not process.is_alive()
+    forget_counts(monkeypatch)
+    assert _bits(estimate_many(workers, spec, AVG, config)) == alone
+    assert own_peers.broken and own_peers.peers == []
+    forget_counts(monkeypatch)
+    assert _bits(estimate_many(workers, spec, AVG, config)) == alone
+    assert own_peers.peers == []
+
+
+def test_a_call_from_a_second_thread_forks_nothing(own_peers, monkeypatch):
+    spec, workers = _many_case()
+    config = SimConfig(trials=CHUNK_TRIALS + 1, seed=103)
+    _at(1, monkeypatch)
+    alone = _bits(estimate_many(workers, spec, AVG, config))
+    _at(2, monkeypatch)
+    got = []
+    thread = threading.Thread(target=lambda: got.append(_bits(estimate_many(workers, spec, AVG, config))))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert got == [alone] and own_peers.peers == []
+
+
+def test_threads_sharing_the_peers_get_their_single_process_results(monkeypatch):
+    # More threads than CPUs, switching often: a thread that finds the
+    # peers busy runs its call alone.
+    spec = tiny_spec(n=3)
+    workers = [linear_worker(a, 0.5, 0.3, p=0.2) for a in (0.2, 0.5, 0.8)]
+    seeds = range(107, 113)
+
+    def cells(seed):
+        return _bits(estimate_many(workers, spec, AVG, SimConfig(trials=3 * BLOCK_TRIALS, seed=seed)))
+
+    _at(1, monkeypatch)
+    alone = {seed: cells(seed) for seed in seeds}
+    _at(2, monkeypatch)
+    cells(106)  # the peer exists before the threads start
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda s=seed: got.update({s: cells(s)})) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == alone
+
+
+def test_no_peer_outlives_its_caller(tmp_path):
+    script = tmp_path / "caller.py"
+    script.write_text(
+        "from jobfit import simulate\n"
+        "from jobfit.dataio import load_fixture_job, named_worker\n"
+        "from jobfit.job import FIXTURE_MODEL\n"
+        "simulate._PROCESSES = 2\n"
+        "simulate.estimate_success_probability(named_worker('human', p=0.3), load_fixture_job(), FIXTURE_MODEL,\n"
+        "                                      simulate.SimConfig(trials=200_000, seed=3))\n"
+        "print(*(process.pid for process, _ in simulate._peers.peers))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 1
+    deadline = time.monotonic() + 30
+    while pids and time.monotonic() < deadline:
+        pids = [pid for pid in pids if _alive(pid)]
+        time.sleep(0.05)
+    assert pids == []
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
