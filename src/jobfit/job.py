@@ -178,11 +178,14 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
     """Compile (..., n, 2) error matrices -> (...,) job errors.
 
     Linear models reduce to one dot product; max components fall back to
-    explicit h/g/f composition, with a task-level ``max`` taken skill-major
-    as an elementwise ``max`` over contiguous skill rows, once per distinct
-    skill set: tasks that need the same skills share one column of the
-    task matrix.  ``max`` is exact in any order and the weighted sums keep
-    a fixed order, so results are bit-reproducible.
+    explicit h/g/f composition.  With g = f = max the job error is the max
+    of the per-skill errors over the skills that some task covers, one
+    reduction along the skill axis.  With g = max under an average or
+    weighted f, each task's ``max`` is taken skill-major as an elementwise
+    ``max`` over contiguous skill rows, once per distinct skill set: tasks
+    that need the same skills share one column of the task matrix.
+    ``max`` is exact in any order and the weighted sums keep a fixed
+    order, so results are bit-reproducible.
     """
     n = spec.n
     if model.is_linear:
@@ -197,6 +200,8 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
     gw = None if model.g == AGG_MAX else _task_weight_matrix(spec, model)
     fv = None if model.f == AGG_MAX else _task_vector(spec, model)
     covered = sorted({j for t in spec.tasks for j in t})
+    if len(covered) == n:  # a slice takes no copy
+        covered = slice(None)
     skill_sets = [tuple(sorted(t)) for t in spec.tasks]
 
     def general_eval(zeta: np.ndarray) -> np.ndarray:
@@ -211,10 +216,10 @@ def make_error_evaluator(spec: JobSpec, model: ErrorModel):
         if gw is not None:
             task = skill @ gw.T
             return task.max(axis=-1) if fv is None else task @ fv
-        rows = np.ascontiguousarray(np.moveaxis(skill, -1, 0))
         if fv is None:
             # max over tasks of max over their skills = max over covered skills
-            return _max_of_rows(rows, covered)[()]
+            return skill[..., covered].max(axis=-1)
+        rows = np.ascontiguousarray(np.moveaxis(skill, -1, 0))
         maxima = {t: _max_of_rows(rows, t) for t in dict.fromkeys(skill_sets)}
         return np.stack([maxima[t] for t in skill_sets], axis=-1) @ fv
 

@@ -15,7 +15,10 @@ draw per double.  Row a of a section therefore starts at the section's
 offset plus ``a*2n`` (``a`` for beta), and a block of rows is read by
 advancing the seeded stream there.  The engine runs each chunk in blocks
 of :data:`BLOCK_TRIALS` trials, so its working set is a block, not a
-chunk; the block size changes no bit of any result.
+chunk; the block size changes no bit of any result.  A block draws beta
+and ``sel`` only if a column it computes has p > 0, and holds both level
+columns in one level-major (2, rows, n) array; the errors of a column
+that one worker uses are written straight into its contiguous slot.
 
 Each call splits its blocks among P processes, P being the number of
 CPUs in the caller's affinity mask (``os.sched_getaffinity``): global
@@ -159,19 +162,20 @@ def _call_blocks(trials: int) -> list[tuple[int, int, int, int]]:
 
 
 def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
-                    need_sel: bool = True, rows: tuple[int, int] | None = None, out=None):
+                    coupled: bool = True, rows: tuple[int, int] | None = None, out=None):
     """Fixed-layout uniforms for one chunk: (u, beta, selector), or with
-    ``rows=(a, b)`` only trials a..b-1 of each.  With ``out``, a (u, beta)
-    pair of arrays with at least b - a rows, u and beta are written into
-    their first rows and returned as those slices.
+    ``rows=(a, b)`` only trials a..b-1 of each; beta and the selector only
+    if ``coupled`` (else None), as only status coupling (p > 0) reads
+    them.  With ``out``, a (u, beta) pair of arrays with at least b - a
+    rows, u and beta are written into their first rows and returned as
+    those slices.
 
     The chunk's stream holds ``u`` at draw offset 0, ``beta`` at
     ``count*2n`` and ``sel`` at ``count*(2n+1)``, one 64-bit draw per
     double (``Generator.random`` consumes the stream as ``uniform(0, 1)``
     does).  Each section's rows are read by resetting the once-seeded
     PCG64 and advancing it to the section offset plus the first row's
-    offset.  The selector is drawn last, so skipping it leaves ``u`` and
-    ``beta`` unchanged."""
+    offset, so skipping beta and the selector leaves ``u`` unchanged."""
     a, b = (0, count) if rows is None else rows
     bitgen = np.random.PCG64(np.random.SeedSequence([seed, tag, chunk]))
     start, gen = bitgen.state, np.random.Generator(bitgen)
@@ -183,9 +187,9 @@ def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
         return gen.random(shape) if into is None else gen.random(out=into[:b - a])
 
     u = section(0, 2 * n, (b - a, n, 2), u_out)
-    beta = section(count * 2 * n, 1, b - a, beta_out)
-    sel = section(count * (2 * n + 1), 2 * n, (b - a, n, 2)) if need_sel else None
-    return u, beta, sel
+    if not coupled:
+        return u, None, None
+    return u, section(count * 2 * n, 1, b - a, beta_out), section(count * (2 * n + 1), 2 * n, (b - a, n, 2))
 
 
 # Per-thread u and beta arrays of the block loops (see _block_uniforms).
@@ -196,9 +200,9 @@ def _block_uniforms(n: int, rows: int):
     """This thread's (u, beta) arrays for blocks of up to ``rows`` rows
     over n skills, the ``out`` of :func:`_chunk_uniforms`.
 
-    Every block of every call draws u and beta.  Drawn into fresh arrays,
-    they went back to the kernel and were faulted in again, block after
-    block and call after call; kept here (with each call's zeta array
+    Every block of every call draws u, and beta when coupled.  Drawn into
+    fresh arrays, they went back to the kernel and were faulted in again,
+    block after block and call after call; kept here (with each call's zeta array
     reused across its blocks), a 200k-trial fixture estimate at p = 0.3
     takes 1.2k page faults instead of 7.7k, and a shared-draws merge-map
     row 0.9k instead of 9.3k.  Keeping sel and zeta per thread as well
@@ -218,14 +222,17 @@ def _level_uniforms(p: float, col: int, u, beta, sel) -> np.ndarray:
     return np.where(sel[:, :, col] < p, beta[:, None], q) if p > 0.0 else q
 
 
-def _level_errors(profile: AbilityProfile, s: np.ndarray, p: float, col: int, u, beta, sel) -> np.ndarray:
-    """Errors 1 - X (count, n) of level ``col + 1`` from a chunk's uniforms.
+def _level_errors(profile: AbilityProfile, s: np.ndarray, p: float, col: int, u, beta, sel,
+                  out=None) -> np.ndarray:
+    """Errors 1 - X (count, n) of level ``col + 1`` from a chunk's uniforms,
+    written into ``out`` if given (a (count, n) array), else in place over
+    the quantiles.
 
     Status coupling picks the uniform, not the quantile, and the pick goes
     through one inverse transform.  ``quantile`` is elementwise, so this
     equals transforming both and picking, bit for bit."""
     x = quantile(profile, s[None, :], _level_uniforms(p, col, u, beta, sel))
-    return np.subtract(1.0, x, out=x)
+    return np.subtract(1.0, x, out=x if out is None else out)
 
 
 def _column_keys(workers) -> dict:
@@ -261,12 +268,13 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
     """Yield ``(chunk, spans, err)`` for each chunk that ``blocks`` reach, in
     order, all workers on the chunk's one draw: ``err`` is the chunk's
     (workers, count) job error array, written at the (a, b) row ``spans``
-    of those blocks.  Within a block, a level column that several workers
-    share (same level, profile and p) is computed once and kept only until
-    its last use.  A (level, profile) computed at two or more p transforms
-    u and beta once each per block (its p = 0 and p = 1 columns) and picks
-    per p; ``quantile`` is elementwise, so each pick equals its own
-    transform, bit for bit.
+    of those blocks.  Within a block, the errors of a level column that
+    one worker uses are written straight into its slot of the level-major
+    zeta array; a column that several workers share (same level, profile
+    and p) is computed once and kept only until its last use.  A (level,
+    profile) computed at two or more p transforms u and beta once each per
+    block (its p = 0 and p = 1 columns) and picks per p; ``quantile`` is
+    elementwise, so each pick equals its own transform, bit for bit.
 
     ``carried`` and ``keep`` map column keys to whole (trials, n) columns:
     a carried column is read instead of computed, and a computed column
@@ -277,7 +285,7 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
     evaluate = make_error_evaluator(spec, draws.model)
     uses = Counter((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
     missing = [key for key in uses if key not in carried]
-    need_sel = any(p > 0.0 for _, _, p in missing)
+    coupled = any(p > 0.0 for _, _, p in missing)
     at_many_p = {pair for pair, k in Counter((col, prof) for col, prof, _ in missing).items() if k > 1}
     pair_uses = Counter((col, prof) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
     out, zetas = _block_arrays(spec.n, blocks)
@@ -288,16 +296,16 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
         for a, b in spans:
             rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
             if missing:
-                u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, need_sel=need_sel, rows=(a, b),
+                u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, coupled=coupled, rows=(a, b),
                                                out=out)
             left, memo = Counter(uses), {key: column[rows] for key, column in carried.items()}
             pair_left, ends = Counter(pair_uses), {}
-            # Level-major, so that each level column is contiguous; every
-            # worker overwrites both columns before its evaluation.
+            # Level-major, so that each level column is a contiguous slot;
+            # every worker overwrites both slots before its evaluation.
             zeta = zetas[:, :b - a].transpose(1, 2, 0)
             for i, w in enumerate(workers):
                 for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
-                    key, pair = (col, prof, w.p), (col, prof)
+                    key, pair, slot = (col, prof, w.p), (col, prof), zetas[col, :b - a]
                     errs = memo.pop(key, None)
                     if errs is None:
                         if pair in at_many_p:
@@ -305,7 +313,9 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
                                 ends[pair] = [_level_errors(prof, s, p, col, u, beta, sel) for p in (0.0, 1.0)]
                             errs = np.where(sel[:, :, col] < w.p, ends[pair][1], ends[pair][0])
                         else:
-                            errs = _level_errors(prof, s, w.p, col, u, beta, sel)
+                            # One worker's column goes straight into its slot.
+                            errs = _level_errors(prof, s, w.p, col, u, beta, sel,
+                                                 out=slot if uses[key] == 1 else None)
                         if key in keep:
                             keep[key][rows] = errs
                     left[key] -= 1
@@ -314,7 +324,8 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
                     pair_left[pair] -= 1
                     if not pair_left[pair]:
                         ends.pop(pair, None)
-                    zeta[:, :, col] = errs
+                    if errs is not slot:
+                        slot[...] = errs
                 err[i, a:b] = evaluate(zeta)
         yield chunk, spans, err
         del err
@@ -351,14 +362,15 @@ def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[Abi
     [0, K] (K when none succeeds), by bisection per trial; and this
     process's next carry.
 
-    Each block computes the other level's column once (or reads it from
-    the carry, or keeps it there, as :func:`_shared_draw_errors` does) and
-    this level's uniforms once.  Each trial's first successful index then
-    takes ``K.bit_length()``, that is ceil(log2(K + 1)), whole-block
-    evaluations, each at every row's own midpoint: the row's
-    per-difficulty terms are gathered from its profile and go through the
-    unchanged transform and evaluator, with every row at its position in
-    the block.  The success count at index k is the number of trials whose
+    Each block computes the other level's column once into its slot (or
+    reads it from the carry, or keeps it there, as
+    :func:`_shared_draw_errors` does) and this level's uniforms once.  Each
+    trial's first successful index then takes ``K.bit_length()``, that is
+    ceil(log2(K + 1)), whole-block evaluations, each at every row's own
+    midpoint: the row's per-difficulty terms are gathered from its profile
+    and go through the unchanged transform, straight into this level's
+    slot, and the evaluator, with every row at its position in the
+    block.  The success count at index k is the number of trials whose
     first success is at most k."""
     spec = draws.spec
     n, p, fixed = spec.n, worker.p, 1 - col
@@ -373,22 +385,22 @@ def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[Abi
     out, zetas = _block_arrays(n, blocks)
     for chunk, count, a, b in blocks:
         rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
-        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, need_sel=p > 0.0, rows=(a, b),
+        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=p > 0.0, rows=(a, b),
                                        out=out)
-        zeta = zetas[:, :b - a].transpose(1, 2, 0)
+        zeta, fixed_slot, slot = zetas[:, :b - a].transpose(1, 2, 0), zetas[fixed, :b - a], zetas[col, :b - a]
         if fixed_key in carried:
-            zeta[:, :, fixed] = carried[fixed_key][rows]
+            fixed_slot[...] = carried[fixed_key][rows]
         else:
-            zeta[:, :, fixed] = _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel)
+            _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel, out=fixed_slot)
             if fixed_key in keep:
-                keep[fixed_key][rows] = zeta[:, :, fixed]
-        q, x = _level_uniforms(p, col, u, beta, sel), np.empty((b - a, n))
+                keep[fixed_key][rows] = fixed_slot
+        q = _level_uniforms(p, col, u, beta, sel)
         lo, hi = np.zeros(b - a, dtype=np.intp), np.full(b - a, last + 1, dtype=np.intp)
         for _ in range(len(profiles).bit_length()):
             # A settled row (lo == hi) keeps its bounds whatever it reads.
             mid = (lo + hi) // 2
-            _transform(profiles[0], [term[np.minimum(mid, last)] for term in terms], q, x)
-            np.subtract(1.0, x, out=zeta[:, :, col])
+            _transform(profiles[0], [term[np.minimum(mid, last)] for term in terms], q, slot)
+            np.subtract(1.0, slot, out=slot)
             ok = evaluate(zeta) <= tau
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, np.minimum(mid + 1, hi))

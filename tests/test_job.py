@@ -260,3 +260,27 @@ def test_task_max_of_repeated_skill_sets_equals_per_task_bits():
             zeta = rng.uniform(size=(4_099, spec.n, 2))
             got, want = make_error_evaluator(spec, model)(zeta), reference_evaluator(spec, model)(zeta)
             assert got.tobytes() == want.tobytes(), (spec.tasks, model)
+
+
+def test_all_max_job_error_is_one_row_max_with_per_task_bits():
+    # g = f = max: one max along the skill axis, over the covered skills
+    # only when some skill is in no task.  max is exact, so the bits equal
+    # the per-task reference's in any memory layout.
+    rng = np.random.default_rng(17)
+    repeated = balanced_job(8, 32, 3, rng.uniform(size=8), rng.uniform(size=8), 0.5)
+    reordered = JobSpec([0.2, 0.4, 0.6], [0.3, 0.5, 0.7], ((0, 2), (2, 0), (1,), (0, 2, 1), (1, 2, 0)),
+                        [0.3, 0.9, 0.5], [0.4, 1.0, 0.2, 0.7, 0.1], 0.5)
+    uncovered = JobSpec([0.1, 0.5, 0.9, 0.3], [0.2, 0.6, 0.8, 0.4], ((2, 0), (0, 2), (2,)),
+                        [0.6, 1.0, 0.8, 0.5], [0.7, 0.2, 0.9], 0.5)
+    assert uncovered.isolated_skills() == [1, 3]
+    for spec in (repeated, reordered, uncovered, load_fixture_job()):
+        for h in ("average", "sum", "max"):
+            model = ErrorModel(h, "max", "max")
+            evaluate, reference = make_error_evaluator(spec, model), reference_evaluator(spec, model)
+            zeta = rng.uniform(size=(4_099, spec.n, 2))
+            zeta[:, spec.isolated_skills()] += 1.0  # an uncovered skill would set every row's max
+            want = reference(zeta).tobytes()
+            level_major = np.ascontiguousarray(zeta.transpose(2, 0, 1)).transpose(1, 2, 0)
+            assert evaluate(zeta).tobytes() == evaluate(level_major).tobytes() == want, (spec.tasks, h)
+            one = evaluate(zeta[0])
+            assert type(one) is np.float64 and one == reference(zeta[0])

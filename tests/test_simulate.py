@@ -335,9 +335,9 @@ def test_estimate_many_equals_each_worker_alone(trials, monkeypatch):
 
 def test_selector_skip_keeps_earlier_variates():
     u, beta, sel = _chunk_uniforms(5, 2, 1, 1000, 4)
-    u0, beta0, sel0 = _chunk_uniforms(5, 2, 1, 1000, 4, need_sel=False)
-    assert sel0 is None and sel.shape == u.shape
-    assert np.array_equal(u, u0) and np.array_equal(beta, beta0)
+    u0, beta0, sel0 = _chunk_uniforms(5, 2, 1, 1000, 4, coupled=False)
+    assert beta0 is None and sel0 is None and beta.shape == (1000,) and sel.shape == u.shape
+    assert np.array_equal(u, u0)
 
 
 def test_shared_path_golden_values():
@@ -418,16 +418,16 @@ def test_level_errors_one_transform_equals_reference_bits(noise):
     assert all(np.array_equal(a, b) for a, b in zip((u, beta, sel), before))
 
 
-@pytest.mark.parametrize("need_sel", [True, False])
-def test_chunk_uniforms_equal_generator_uniform(need_sel):
-    u, beta, sel = _chunk_uniforms(9, 3, 2, 500, 6, need_sel=need_sel)
+@pytest.mark.parametrize("coupled", [True, False])
+def test_chunk_uniforms_equal_generator_uniform(coupled):
+    u, beta, sel = _chunk_uniforms(9, 3, 2, 500, 6, coupled=coupled)
     rng = np.random.default_rng(np.random.SeedSequence([9, 3, 2]))
     assert u.tobytes() == rng.uniform(size=(500, 6, 2)).tobytes()
-    assert beta.tobytes() == rng.uniform(size=500).tobytes()
-    if need_sel:
+    if coupled:
+        assert beta.tobytes() == rng.uniform(size=500).tobytes()
         assert sel.tobytes() == rng.uniform(size=(500, 6, 2)).tobytes()
     else:
-        assert sel is None
+        assert beta is None and sel is None
 
 
 def test_full_chunks_do_not_depend_on_run_length():
@@ -451,18 +451,18 @@ def test_block_size_divides_chunk_on_eight_row_boundaries():
     assert CHUNK_TRIALS % BLOCK_TRIALS == 0 and BLOCK_TRIALS % 8 == 0
 
 
-@pytest.mark.parametrize("need_sel", [True, False])
+@pytest.mark.parametrize("coupled", [True, False])
 @pytest.mark.parametrize("count, n, rows", [
     (1000, 4, [(0, 64), (64, 512), (512, 1000)]),
     (700, 1, [(0, 8), (8, 640), (640, 700)]),
     (CHUNK_TRIALS, 2, [(0, BLOCK_TRIALS), (BLOCK_TRIALS, CHUNK_TRIALS - BLOCK_TRIALS),
                        (CHUNK_TRIALS - BLOCK_TRIALS, CHUNK_TRIALS)]),
 ])
-def test_chunk_uniforms_row_blocks_concatenate_to_chunk(count, n, rows, need_sel):
-    whole = _chunk_uniforms(6, 1, 3, count, n, need_sel=need_sel)
-    parts = [_chunk_uniforms(6, 1, 3, count, n, need_sel=need_sel, rows=r) for r in rows]
+def test_chunk_uniforms_row_blocks_concatenate_to_chunk(count, n, rows, coupled):
+    whole = _chunk_uniforms(6, 1, 3, count, n, coupled=coupled)
+    parts = [_chunk_uniforms(6, 1, 3, count, n, coupled=coupled, rows=r) for r in rows]
     for k, name in enumerate(("u", "beta", "sel")):
-        if not need_sel and name == "sel":
+        if not coupled and name != "u":
             assert whole[k] is None and all(part[k] is None for part in parts)
             continue
         assert [part[k].shape[0] for part in parts] == [b - a for a, b in rows]
@@ -480,6 +480,59 @@ def test_shared_draw_errors_do_not_depend_on_block_size(monkeypatch):
             for block in (64, 1 << 12, CHUNK_TRIALS)]
     assert len(runs[0]) == 2 * len(workers)
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("model", [AVG, MAX], ids=["avg", "max"])
+def test_single_use_columns_in_block_slots_equal_one_worker_errors(model, monkeypatch):
+    # A level column that one worker uses is written straight into its slot
+    # of the block's level-major array; shared, carried, kept and at-many-p
+    # columns are not.  Each worker's errors equal its one-worker call's,
+    # whichever share of the blocks a process of P in {1, 2} computes.
+    monkeypatch.setattr(simulate, "BLOCK_TRIALS", 64)
+    spec, trials, seed, tag = tiny_spec(n=5, tau=0.45, seed=3), 1000, 11, 2
+    draws, blocks = _Draws(spec, model, seed, tag, trials), _call_blocks(trials)
+    noise, other = uniform_noise(0.4), truncnorm_noise(0.2)
+    merged = select_profile(linear_profile(0.2, noise), constant_profile(0.7, other), 1.1)
+    nested = select_profile(merged, polynomial_profile(1.5, noise), 0.9)
+    shared, carried, kept, two_p = (linear_profile(0.3, noise), constant_profile(0.6, other),
+                                    polynomial_profile(2.0, noise), linear_profile(0.4, other))
+    workers = [
+        Worker(merged, nested, 0.3),
+        Worker(shared, linear_profile(0.6, noise), 0.0),  # level 1 shared by two workers
+        Worker(shared, merged, 0.0),
+        Worker(carried, kept, 0.3),
+        Worker(two_p, linear_profile(0.8, other), 0.0),  # level 1 at two p
+        Worker(two_p, linear_profile(0.9, noise), 0.3),
+    ]
+    u, beta, sel = _chunk_uniforms(seed, tag, 0, trials, spec.n)
+    carried_key, kept_key = (0, carried, 0.3), (1, kept, 0.3)
+    carried_column = _level_errors(carried, spec.s1, 0.3, 0, u, beta, sel)
+    kept_column = _level_errors(kept, spec.s2, 0.3, 1, u, beta, sel)
+    alone = [next(_shared_draw_errors([w], draws, blocks))[2][0] for w in workers]
+    in_place = []
+    original = simulate._level_errors
+
+    def spying(*args, out=None):
+        in_place.append(out is not None)
+        return original(*args, out=out)
+
+    monkeypatch.setattr(simulate, "_level_errors", spying)
+    for shares in (1, 2):
+        for j in range(shares):
+            share, keep = blocks[j::shares], {kept_key: np.full((trials, spec.n), np.nan)}
+            in_place.clear()
+            got = {(a, b): err[:, a:b] for _, spans, err in
+                   _shared_draw_errors(workers, draws, share, {carried_key: carried_column}, keep)
+                   for a, b in spans}
+            # Per block: seven single-use columns, the kept one among them,
+            # in their slots; the shared column and the two-p pair's p = 0
+            # and p = 1 ends in arrays of their own.
+            assert sorted(in_place) == [False] * 3 * len(share) + [True] * 7 * len(share)
+            for (a, b), err in got.items():
+                assert keep[kept_key][a:b].tobytes() == kept_column[a:b].tobytes()
+                for i, w in enumerate(workers):
+                    assert err[i].tobytes() == alone[i][a:b].tobytes(), (shares, j, i, a)
+            assert sorted(got) == [(a, b) for *_, a, b in share]
 
 
 def test_interleaved_engine_calls_of_one_thread_share_block_uniforms_safely():
