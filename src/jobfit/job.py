@@ -121,11 +121,6 @@ class JobSpec:
     def m(self) -> int:
         return len(self.tasks)
 
-    def isolated_skills(self) -> list[int]:
-        """0-based indices of skills appearing in no task."""
-        used = {j for t in self.tasks for j in t}
-        return [j for j in range(self.n) if j not in used]
-
     def with_tau(self, tau: float) -> "JobSpec":
         return JobSpec(self.s1, self.s2, self.tasks, self.w, self.v, float(tau),
                        self.skill_names, self.task_names, dict(self.meta))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ability
-from .ability import AbilityProfile, mean_ability, piecewise_profile, select_profile
+from .ability import AbilityProfile, piecewise_profile, select_profile
 from .errors import ParameterError
 from .job import ErrorModel, JobSpec
 from .simulate import SimConfig, SimEstimate, Worker, estimate_many
@@ -52,11 +52,6 @@ def merge_uniform(worker_a: Worker, worker_b: Worker, pick: tuple[str, str] = ("
     return Worker(src[pick[0]].alpha1, src[pick[1]].alpha2, max(worker_a.p, worker_b.p))
 
 
-def _assign(pa: AbilityProfile, pb: AbilityProfile, s: np.ndarray, scale: float) -> np.ndarray:
-    """True where B is selected: its scaled mean strictly beats A's."""
-    return scale * np.asarray(mean_ability(pb, s)) > np.asarray(mean_ability(pa, s))
-
-
 def _linear_coeffs(profile: AbilityProfile) -> tuple[float, float]:
     """(intercept, slope) of the mean for linear/constant families."""
     if profile.family == ability.CONSTANT:
@@ -65,10 +60,10 @@ def _linear_coeffs(profile: AbilityProfile) -> tuple[float, float]:
     return c, -(1.0 - a)
 
 
-def _materialize_level(pa: AbilityProfile, pb: AbilityProfile, scale: float,
-                       picks: np.ndarray) -> AbilityProfile:
-    """Merged profile for one level, given the per-subskill picks at the
-    job's difficulties (only those matter for P).
+def _materialize_level(selection: AbilityProfile, picks: np.ndarray) -> AbilityProfile:
+    """Merged profile for one level, given the selection of its two
+    sources and the per-subskill picks at the job's difficulties (only
+    those matter for P).
 
     A single-source level is that source, unchanged.  A genuinely mixed
     level becomes a piecewise-linear upper envelope (one profile with
@@ -78,6 +73,7 @@ def _materialize_level(pa: AbilityProfile, pb: AbilityProfile, scale: float,
     unscaled; otherwise it stays a per-difficulty selection that samples
     each subskill from its true source.
     """
+    (pa, pb), scale = selection.sources, selection.params[0]
     if not picks.any():
         return pa
     if picks.all():
@@ -89,7 +85,7 @@ def _materialize_level(pa: AbilityProfile, pb: AbilityProfile, scale: float,
         and pa.noise.kind == pb.noise.kind
     )
     if not envelope_ok:
-        return select_profile(pa, pb, scale)
+        return selection
     ca, ma = _linear_coeffs(pa)
     cb, mb = _linear_coeffs(pb)
     knots_x = {0.0, 1.0}
@@ -106,10 +102,10 @@ def _merge(worker_a: Worker, worker_b: Worker, spec: JobSpec, scale: float,
     plans = []
     profiles = []
     for level, s in ((1, spec.s1), (2, spec.s2)):
-        pa, pb = worker_a.profile(level), worker_b.profile(level)
-        picks = _assign(pa, pb, s, scale)
+        selection = select_profile(worker_a.profile(level), worker_b.profile(level), scale)
+        picks = ability._select_mask(selection, s)
         plans.append(tuple("B" if b else "A" for b in picks))
-        profiles.append(_materialize_level(pa, pb, scale, picks))
+        profiles.append(_materialize_level(selection, picks))
     worker = Worker(profiles[0], profiles[1], max(worker_a.p, worker_b.p))
     return worker, MergePlan(plans[0], plans[1], strategy, scale)
 

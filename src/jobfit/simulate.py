@@ -35,19 +35,17 @@ only from a process with one thread; a call from a process with more
 threads, before its peers exist, runs alone, as does every call on one
 CPU, at one block, or after a peer's pipe broke.
 
-Calls on the same draws (seed, stream tag, trials, model and job
-content) share a carry, kept from the most recent call and replaced
-whole when a call ends.  It holds that call's integer success counts,
-which ``estimate_many`` reuses for the (worker, tau) pairs it counted,
-and level columns: the (trials, n) errors of one (level, profile, p),
-which depend on nothing but the draws.  A call keeps a column it uses
-only if the previous call used it too (a worker served from the counts
-counts as used), and reads kept columns instead of computing them; a
-block whose columns all come from the carry draws no uniforms.  Kept
-columns never exceed ``CHUNK_TRIALS * 2n`` doubles, the size of one
-chunk's ``u`` section.  Each process keeps the rows of its own share
-and reads kept columns only under the split that kept them; the counts
-stay with the caller.  Neither part of the carry changes any bit.
+Calls on the same draws (seed, stream tag, trials and difficulties)
+share a carry of level columns: the (trials, n) errors of one (level,
+profile, p), which depend on nothing else.  A call keeps the columns it
+uses that the previous call on the same draws also used, reads kept
+columns instead of computing them, and replaces the carry whole when it
+ends; a block whose columns all come from the carry draws no uniforms.
+Kept columns never exceed ``CHUNK_TRIALS * 2n`` doubles, the size of one
+chunk's ``u`` section.  Each process keeps the rows of its own share and
+reads kept columns only under the split that kept them.  The carry
+changes no bit, and a bisected sweep (below) neither reads nor replaces
+it.
 
 CRN ability sweeps rest on monotone coupling (Glasserman & Yao 1992,
 "Some guidelines and guarantees for common random numbers", Management
@@ -252,9 +250,8 @@ class _Draws:
     trials: int
 
     def key(self) -> tuple:
-        spec = self.spec
-        return (self.seed, self.tag, self.trials, self.model, spec.tasks,
-                spec.s1.tobytes(), spec.s2.tobytes(), spec.w.tobytes(), spec.v.tobytes())
+        """What a level column depends on besides its (level, profile, p)."""
+        return (self.seed, self.tag, self.trials, self.spec.s1.tobytes(), self.spec.s2.tobytes())
 
 
 def _block_arrays(n: int, blocks):
@@ -331,40 +328,41 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
         del err
 
 
-def _count_share(draws: _Draws, todo: list[Worker], used: dict, taus: list[float], blocks, split):
+def _count_share(draws: _Draws, workers: list[Worker], taus: list[float], blocks, split):
     """Share of ``estimate_many``: the (worker, tau) success counts of
-    ``todo`` on ``blocks``, and this process's next carry."""
-    carry, carried, keep = _share_columns(draws, split, used, _column_keys(todo))
-    counts = np.zeros((len(todo), len(taus)), dtype=np.int64)
-    for _, spans, err in _shared_draw_errors(todo, draws, blocks, carried, keep):
+    ``workers`` on ``blocks``."""
+    used = _column_keys(workers)
+    carried, keep = _share_columns(draws, split, used)
+    counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
+    for _, spans, err in _shared_draw_errors(workers, draws, blocks, carried, keep):
         for a, b in spans:
             for j, t in enumerate(taus):
                 counts[:, j] += np.count_nonzero(err[:, a:b] <= t, axis=1)
         del err  # else it would stay alive through the next chunk
-    return counts, _next_carry(carry, used, carried, keep, split)
+    _replace_carry(draws, split, used, {**carried, **keep})
+    return counts
 
 
 def _error_share(draws: _Draws, worker: Worker, blocks, split):
     """Share of ``estimate_err_avg``: the (chunk, a, b, errors) of each of
-    ``blocks``, and this process's next carry."""
+    ``blocks``."""
     used = _column_keys([worker])
-    carry, carried, keep = _share_columns(draws, split, used, used)
+    carried, keep = _share_columns(draws, split, used)
     pieces = [(chunk, a, b, err[0, a:b]) for chunk, spans, err in
               _shared_draw_errors([worker], draws, blocks, carried, keep) for a, b in spans]
-    return pieces, _next_carry(carry, used, carried, keep, split)
+    _replace_carry(draws, split, used, {**carried, **keep})
+    return pieces
 
 
-def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], used: dict,
-                     tau: float, blocks, split):
+def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], tau: float,
+                     blocks, split):
     """Share of a bisected sweep: on ``blocks``, how many trials of
     ``worker``, with level ``col + 1`` set to each of ``profiles`` (in
     order of non-decreasing mean ability), first succeed at each index in
-    [0, K] (K when none succeeds), by bisection per trial; and this
-    process's next carry.
+    [0, K] (K when none succeeds), by bisection per trial.
 
-    Each block computes the other level's column once into its slot (or
-    reads it from the carry, or keeps it there, as
-    :func:`_shared_draw_errors` does) and this level's uniforms once.  Each
+    Each block computes the other level's column once into its slot, and
+    this level's uniforms once; the carry is neither read nor kept.  Each
     trial's first successful index then takes ``K.bit_length()``, that is
     ceil(log2(K + 1)), whole-block evaluations, each at every row's own
     midpoint: the row's per-difficulty terms are gathered from its profile
@@ -376,24 +374,16 @@ def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[Abi
     n, p, fixed = spec.n, worker.p, 1 - col
     levels = ((worker.alpha1, spec.s1), (worker.alpha2, spec.s2))
     (fixed_prof, fixed_s), s = levels[fixed], levels[col][1]
-    fixed_key = (fixed, fixed_prof, p)
-    carry, carried, keep = _share_columns(draws, split, used, [fixed_key])
     terms = [np.concatenate(parts) for parts in zip(*(_terms(prof, s[None, :]) for prof in profiles))]
     last = len(profiles) - 1
     evaluate = make_error_evaluator(spec, draws.model)
     firsts = np.zeros(len(profiles) + 1, dtype=np.int64)
     out, zetas = _block_arrays(n, blocks)
     for chunk, count, a, b in blocks:
-        rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
         u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=p > 0.0, rows=(a, b),
                                        out=out)
-        zeta, fixed_slot, slot = zetas[:, :b - a].transpose(1, 2, 0), zetas[fixed, :b - a], zetas[col, :b - a]
-        if fixed_key in carried:
-            fixed_slot[...] = carried[fixed_key][rows]
-        else:
-            _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel, out=fixed_slot)
-            if fixed_key in keep:
-                keep[fixed_key][rows] = fixed_slot
+        zeta, slot = zetas[:, :b - a].transpose(1, 2, 0), zetas[col, :b - a]
+        _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel, out=zetas[fixed, :b - a])
         q = _level_uniforms(p, col, u, beta, sel)
         lo, hi = np.zeros(b - a, dtype=np.intp), np.full(b - a, last + 1, dtype=np.intp)
         for _ in range(len(profiles).bit_length()):
@@ -405,7 +395,7 @@ def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[Abi
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, np.minimum(mid + 1, hi))
         firsts += np.bincount(lo, minlength=last + 2)
-    return firsts, _next_carry(carry, used, carried, keep, split)
+    return firsts
 
 
 def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) -> SimEstimate:
@@ -419,43 +409,37 @@ def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) 
 @dataclass(frozen=True)
 class _Carry:
     """What the most recent call leaves for the next call on its draws:
-    the draws key, the success count of each (worker, tau) it counted, the
-    column keys it used, the level columns it kept and the (share, shares)
-    split whose rows they hold."""
+    the draws key, the column keys it used, the level columns it kept and
+    the (share, shares) split whose rows they hold."""
 
     key: tuple | None = None
-    counts: dict = field(default_factory=dict)
     used: frozenset = frozenset()
     columns: dict = field(default_factory=dict)
     split: tuple = (0, 1)
 
 
-# A call reads the carry when it starts and replaces it whole when it ends.
+# Each share of a call reads this process's carry when it starts and
+# replaces it whole when it ends.
 _carry = _Carry()
 
 
-def _carry_for(draws: _Draws) -> _Carry:
-    """The carry if the most recent call ran on these draws, else an empty
-    carry for them."""
-    key = draws.key()
+def _share_columns(draws: _Draws, split: tuple, used: dict):
+    """The carried columns of ``used`` that a share on ``draws`` reads
+    (kept under the same split), and fresh (trials, n) arrays to keep for
+    the others that the previous call on these draws also used, as many as
+    fit beside the carried ones in ``CHUNK_TRIALS * 2n`` doubles."""
     carry = _carry
-    return carry if carry.key == key else _Carry(key)
-
-
-def _share_columns(draws: _Draws, split: tuple, used: dict, computed):
-    """This process's carry for ``draws``, the carried columns a share
-    reads (kept under the same split) and fresh (trials, n) arrays to keep
-    for the ``computed`` column keys that the previous call also used, as
-    many as fit beside the carried ones in ``CHUNK_TRIALS * 2n`` doubles."""
-    carry = _carry_for(draws)
+    if carry.key != draws.key():
+        carry = _Carry()
     carried = {key: carry.columns[key] for key in used if key in carry.columns} if carry.split == split else {}
     room = 2 * CHUNK_TRIALS // draws.trials - len(carried)
-    fresh = [key for key in computed if key in carry.used and key not in carried][:room]
-    return carry, carried, {key: np.empty((draws.trials, draws.spec.n)) for key in fresh}
+    fresh = [key for key in used if key in carry.used and key not in carried][:room]
+    return carried, {key: np.empty((draws.trials, draws.spec.n)) for key in fresh}
 
 
-def _next_carry(carry: _Carry, used: dict, carried: dict, keep: dict, split: tuple) -> _Carry:
-    return _Carry(carry.key, carry.counts, frozenset(used), {**carried, **keep}, split)
+def _replace_carry(draws: _Draws, split: tuple, used: dict, columns: dict) -> None:
+    global _carry
+    _carry = _Carry(draws.key(), frozenset(used), columns, split)
 
 
 # --- splitting a call's blocks among processes -----------------------------
@@ -529,7 +513,6 @@ _peers = _Peers()
 def _serve(caller_end, conn) -> None:
     """A peer's loop: compute each request's share and send the result
     back (or the exception it raised), until the caller's end closes."""
-    global _carry
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     caller_end.close()
     for _, other in _peers.peers:  # the caller's ends of earlier peers
@@ -540,8 +523,7 @@ def _serve(caller_end, conn) -> None:
         except EOFError:
             return
         try:
-            result, _carry = _share(share)(draws, *args, blocks, split)
-            reply = (True, result)
+            reply = (True, _share(share)(draws, *args, blocks, split))
         except Exception as exc:  # raised again by the caller
             reply = (False, exc)
         conn.send(reply)
@@ -574,12 +556,11 @@ def _round_trip(peers: list, requests: list, own):
     return mine, [value for _, value in replies]
 
 
-def _run_shares(share: str, draws: _Draws, args: tuple) -> tuple[list, _Carry]:
+def _run_shares(share: str, draws: _Draws, args: tuple) -> list:
     """Run the share function ``share`` over every block of a call on
     ``draws``, split among this process and its peers (see the module
-    docstring): the shares' results in share order, and this process's
-    next carry.  A call that cannot use peers, or whose round trip broke,
-    runs every block here."""
+    docstring): the shares' results in share order.  A call that cannot
+    use peers, or whose round trip broke, runs every block here."""
     blocks = _call_blocks(draws.trials)
     run = _share(share)
     wanted = min(_processes(), len(blocks)) - 1
@@ -593,10 +574,9 @@ def _run_shares(share: str, draws: _Draws, args: tuple) -> tuple[list, _Carry]:
         finally:
             _peers.lock.release()
         if done:
-            (mine, carry), theirs = done
-            return [mine, *theirs], carry
-    mine, carry = run(draws, *args, blocks, (0, 1))
-    return [mine], carry
+            mine, theirs = done
+            return [mine, *theirs]
+    return [run(draws, *args, blocks, (0, 1))]
 
 
 def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig | None = None,
@@ -605,33 +585,19 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
 
     Each chunk is drawn once per call; equal workers are evaluated once
     and one error vector is counted against every tau (None means the
-    job's own tau).  A (worker, tau) pair that the previous call counted
-    on the same draws (seed, tag, trials, model and job content) takes
-    that call's integer count instead of being evaluated again, and the
-    level columns the carry holds are read instead of computed (see the
-    module docstring).  Each estimate equals a call with that worker and
-    tau alone, bit for bit.
+    job's own tau).  Level columns that the carry holds are read instead
+    of computed (see the module docstring).  Each estimate equals a call
+    with that worker and tau alone, bit for bit.
     """
-    global _carry
     config = config or SimConfig()
     workers = list(workers)
     if not workers:
         raise ParameterError("need at least one worker")
     taus = [float(spec.tau if t is None else t) for t in ([None] if taus is None else taus)]
-    draws = _Draws(spec, model, config.seed, _tag, config.trials)
-    carry = _carry_for(draws)
-    successes = {(w, t): carry.counts.get((w, t)) for w in workers for t in taus}
-    todo = list(dict.fromkeys(w for (w, _), k in successes.items() if k is None))
-    distinct_taus = list(dict.fromkeys(taus))
-    used = _column_keys(workers)
-    if todo:
-        parts, carry = _run_shares("_count_share", draws, (todo, used, distinct_taus))
-        counts = sum(parts).tolist()
-        successes.update(((w, t), k) for w, row in zip(todo, counts) for t, k in zip(distinct_taus, row))
-    else:
-        carry = replace(carry, used=frozenset(used),
-                        columns={key: carry.columns[key] for key in used if key in carry.columns})
-    _carry = replace(carry, counts=successes)
+    distinct, distinct_taus = list(dict.fromkeys(workers)), list(dict.fromkeys(taus))
+    counts = sum(_run_shares("_count_share", _Draws(spec, model, config.seed, _tag, config.trials),
+                             (distinct, distinct_taus))).tolist()
+    successes = {(w, t): k for w, row in zip(distinct, counts) for t, k in zip(distinct_taus, row)}
     return [_binomial_estimate(successes[w, t], config.trials, config.seed, config.ci_level)
             for w in workers for t in taus]
 
@@ -687,11 +653,9 @@ def estimate_err_avg(
 ) -> ErrAvgResult:
     """Monte Carlo mean of the job error; exact value attached when available.
 
-    It shares the level columns of the carry with ``estimate_many`` and
-    leaves the carried success counts as they are."""
-    global _carry
+    It shares the carry of level columns with ``estimate_many``."""
     config = config or SimConfig()
-    pieces, _carry = _run_shares("_error_share", _Draws(spec, model, config.seed, _tag, config.trials), (worker,))
+    pieces = _run_shares("_error_share", _Draws(spec, model, config.seed, _tag, config.trials), (worker,))
     # Each chunk's errors are summed whole, as one vector, whatever the split.
     errors = [np.empty(count) for _, count in _chunk_streams(config.trials)]
     for chunk, a, b, err in itertools.chain.from_iterable(pieces):
@@ -764,19 +728,16 @@ class SweepPoint:
 def _bisected_sweep(worker: Worker, col: int, grid: list[float], workers: list[Worker], spec: JobSpec,
                     model: ErrorModel, config: SimConfig | None, tau: float | None) -> list[SimEstimate]:
     """P of each grid worker (``worker`` with level ``col + 1`` set at the
-    grid value) on tag 0, by :func:`_bisected_counts`; the counts of every
-    (grid worker, tau) and the kept level columns go into the carry as
-    ``estimate_many``'s would."""
-    global _carry
+    grid value) on tag 0, by :func:`_bisected_counts`, which leaves the
+    carry as it is."""
     config = config or SimConfig()
     tau = float(spec.tau if tau is None else tau)
     by_value = dict(zip(grid, workers))
     values = sorted(by_value)
     profiles = [by_value[v].profile(col + 1) for v in values]
-    firsts, carry = _run_shares("_bisected_counts", _Draws(spec, model, config.seed, 0, config.trials),
-                                (worker, col, profiles, _column_keys(workers), tau))
+    firsts = _run_shares("_bisected_counts", _Draws(spec, model, config.seed, 0, config.trials),
+                         (worker, col, profiles, tau))
     count_at = dict(zip(values, np.cumsum(sum(firsts))[:-1].tolist()))
-    _carry = replace(carry, counts={(w, tau): count_at[v] for v, w in zip(grid, workers)})
     return [_binomial_estimate(count_at[v], config.trials, config.seed, config.ci_level) for v in grid]
 
 
@@ -803,8 +764,8 @@ def sweep(
     grid values (see the module docstring), so a curve is non-decreasing
     by construction and costs ceil(log2(K + 1)) evaluations per trial for
     K values, not K.  Its counts equal those of ``estimate_many`` on the
-    grid workers by test, not by proof, and go into the carry as its
-    counts would.  Factories, sigma, p and tau sweeps run ``estimate_many``.
+    grid workers by test, not by proof; it neither reads nor replaces the
+    carry.  Factories, sigma, p and tau sweeps run ``estimate_many``.
     """
     grid = [float(v) for v in grid]
     if not grid:

@@ -422,19 +422,18 @@ def bias_misclassification_rate(
     curve_p,
     qualify_p: float = 0.8,
     reject_p: float = 0.6,
-    density: tuple | None = None,
 ) -> float:
     """Share of qualified workers (true P >= qualify_p) rejected when the
     evaluated ability is beta times the true one (evaluated P <= reject_p).
 
     ``curve_a``/``curve_p`` tabulate the monotone map from the ability
-    parameter to P; ``density`` is an optional (grid, pdf) pair over the
-    ability parameter, uniform on [0, 1] when omitted.
+    parameter to P; the ability parameter is uniform on [0, 1].
     """
     if not 0.0 < beta <= 1.0:
         raise ParameterError(f"bias factor must lie in (0, 1], got {beta}")
-    if not qualify_p > reject_p:
-        raise ParameterError("qualify_p must exceed reject_p")
+    if not 0.0 <= reject_p < qualify_p <= 1.0:
+        raise ParameterError(f"need 0 <= reject_p < qualify_p <= 1, got reject_p={reject_p} and "
+                             f"qualify_p={qualify_p}")
     a = np.asarray(curve_a, dtype=float)
     p = np.asarray(curve_p, dtype=float)
     if a.ndim != 1 or a.shape != p.shape or len(a) < 2:
@@ -449,21 +448,9 @@ def bias_misclassification_rate(
     a_r = _last_below(a, p, reject_p, "reject_p")
 
     # The curve only needs to straddle the two thresholds; the ability
-    # population itself spans [0, 1] unless an explicit density says else.
-    if density is None:
-        hi = 1.0
-        cut = min(hi, a_r / beta)
-        qualified = max(0.0, hi - a_q)
-        mis = max(0.0, min(cut, hi) - a_q)
-    else:
-        grid = np.asarray(density[0], dtype=float)
-        pdf = np.asarray(density[1], dtype=float)
-        if grid.shape != pdf.shape or np.any(pdf < 0):
-            raise ParameterError("density must be a (grid, pdf) pair with pdf >= 0")
-        hi = float(grid[-1])
-        cut = min(hi, a_r / beta)
-        qualified = _mass(grid, pdf, a_q, hi)
-        mis = _mass(grid, pdf, a_q, min(cut, hi))
+    # population itself spans [0, 1].
+    qualified = max(0.0, 1.0 - a_q)
+    mis = max(0.0, min(1.0, a_r / beta) - a_q)
     if qualified <= 0.0:
         raise UndefinedThresholdError("no probability mass above the qualification ability")
     return min(1.0, max(0.0, mis / qualified))
@@ -489,10 +476,3 @@ def _last_below(a: np.ndarray, p: np.ndarray, level: float, name: str) -> float:
         return float(a[-1])
     t = (level - p[i]) / (p[i + 1] - p[i])
     return float(a[i] + t * (a[i + 1] - a[i]))
-
-
-def _mass(grid: np.ndarray, pdf: np.ndarray, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    xs = np.linspace(lo, hi, 513)
-    return float(np.trapezoid(np.interp(xs, grid, pdf), xs))

@@ -148,7 +148,7 @@ def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes, monk
                     tau = v
                 else:
                     w = apply_knob(w, name, v)
-            # Cleared so that no cell is served the counts or columns of the CLI's own call.
+            # Cleared so that no cell reads the columns of the CLI's own call.
             monkeypatch.setattr(simulate, "_carry", simulate._Carry())
             expect.append(estimate_success_probability(w, spec, ErrorModel(), SimConfig(300, 1234), tau).value)
     assert doc["values"] == expect
@@ -199,6 +199,12 @@ def test_bias_trivial(capsys):
                           "--curve-grid", "0:0.6:25", "--trials", "2000")
     assert code == 0
     assert "rate = 0.0000" in stdout
+
+
+def test_bias_thresholds_outside_the_unit_interval_exit_2(capsys):
+    for flags in (["--qualify-p", "1.5"], ["--reject-p", "-0.1"], ["--qualify-p", "0.5", "--reject-p", "0.6"]):
+        code, stdout, err = run(capsys, "bias", *flags, "--curve-grid", "0:0.6:4", "--trials", "300")
+        assert code == 2 and not stdout and "reject_p < qualify_p" in err, flags
 
 
 def test_bias_curve_runs_at_trials(capsys, tmp_path, monkeypatch):

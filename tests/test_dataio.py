@@ -76,7 +76,8 @@ def test_fixture_loads_published_structure():
     assert spec.tau == 0.45
     assert spec.tasks[0] == (5, 7, 8, 15, 17)  # published task 1 is {6,8,9,16,18}, 1-based
     assert spec.skill_names[17] == "Programming"
-    assert spec.isolated_skills() == [2, 11, 14]
+    # 0-based skills that appear in no task
+    assert sorted(set(range(spec.n)) - {j for t in spec.tasks for j in t}) == [2, 11, 14]
     # division applied: decision difficulty of Programming is 0.4 * 0.7
     assert spec.s1[17] == pytest.approx(0.28)
     assert spec.s2[17] == pytest.approx(0.42)

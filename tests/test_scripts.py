@@ -26,8 +26,8 @@ def _rows(path: Path) -> list[list[str]]:
 
 def test_merging_maps_script_equals_cells_computed_one_by_one(tmp_path, monkeypatch):
     # The script runs its cells back to back on one seed, so later cells
-    # read counts and level columns that earlier cells left; each cell here
-    # starts from an empty carry.
+    # read level columns that earlier cells kept; each cell here starts
+    # from an empty carry.
     grids = {"--a-grid": "0:0.4:3", "--c-grid": "0.6:1.0:3"}
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, str(ROOT / "scripts" / "merging_maps.py"), "--trials", "500",

@@ -111,9 +111,9 @@ def test_draw_independent_entries_differ():
         assert np.ptp(levels) > 1e-6
 
 
-def forget_counts(monkeypatch):
-    """Clear the previous call's success counts and level columns, so the
-    next call evaluates every worker on fresh draws."""
+def forget_carry(monkeypatch):
+    """Clear the level columns the previous call kept, so that the next
+    call computes every column from fresh draws."""
     monkeypatch.setattr(simulate, "_carry", simulate._Carry())
 
 
@@ -122,7 +122,7 @@ def test_estimates_deterministic(monkeypatch):
     worker = linear_worker(0.5, 0.5, 0.4)
     config = SimConfig(trials=5000, seed=123)
     a = estimate_success_probability(worker, spec, AVG, config)
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     b = estimate_success_probability(worker, spec, AVG, config)
     assert a == b
     ea = estimate_err_avg(worker, spec, AVG, config)
@@ -182,7 +182,7 @@ def test_sweep_single_point_matches_estimate(monkeypatch):
     config = SimConfig(trials=2000, seed=9)
     pts = sweep(worker, spec, AVG, "a1", [0.4], config)
     assert len(pts) == 1
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     assert pts[0].estimate == estimate_success_probability(worker, spec, AVG, config)
 
 
@@ -327,9 +327,9 @@ def test_estimate_many_equals_each_worker_alone(trials, monkeypatch):
     assert len(many) == len(workers) * len(taus)
     for i, w in enumerate(workers):
         for j, tau in enumerate(taus):
-            forget_counts(monkeypatch)
+            forget_carry(monkeypatch)
             alone = estimate_success_probability(w, spec, AVG, config, tau=tau)
-            forget_counts(monkeypatch)
+            forget_carry(monkeypatch)
             assert many[i * len(taus) + j] == alone == estimate_many([w], spec, AVG, config, [tau])[0]
 
 
@@ -368,7 +368,7 @@ def test_max_job_against_exact_product(seed):
     # With h = g = f = max and p = 0 the job succeeds iff every covered
     # subskill error is <= tau, and those errors are independent.
     spec, worker = _max_case()
-    assert not spec.isolated_skills()
+    assert {j for t in spec.tasks for j in t} == set(range(spec.n))  # every skill is covered
     exact = float(np.prod(survival(worker.alpha1, spec.s1, 1.0 - spec.tau))
                   * np.prod(survival(worker.alpha2, spec.s2, 1.0 - spec.tau)))
     est = estimate_success_probability(worker, spec, MAX, SimConfig(trials=200_000, seed=seed))
@@ -634,52 +634,69 @@ def _carry_case():
     return spec, workers, SimConfig(trials=3000, seed=5)
 
 
-@pytest.mark.parametrize("change", ["seed", "trials", "tag", "model", "tau", "job"])
-def test_each_part_of_the_draws_key_forces_a_fresh_evaluation(change, monkeypatch):
+_CHANGES = {
+    "seed": lambda spec: {"config": SimConfig(trials=3000, seed=6)},
+    "trials": lambda spec: {"config": SimConfig(trials=3001, seed=5)},
+    "tag": lambda spec: {"_tag": 1},
+    "job": lambda spec: {"spec": JobSpec(spec.s1, spec.s2[::-1], spec.tasks, spec.w, spec.v, spec.tau)},
+    "model": lambda spec: {"model": MAX},
+    "tau": lambda spec: {"taus": [0.5]},
+    "weights": lambda spec: {"spec": JobSpec(spec.s1, spec.s2, spec.tasks, spec.w[::-1],
+                                             np.array([0.2, 0.6, 1.0]), spec.tau)},
+}
+
+
+def _after_a_repeat(change, monkeypatch):
+    """Two calls on the same draws leave all four level columns in the
+    carry; then a call with one input changed, checked bit for bit against
+    a fresh call.  Returns how many columns it computed, how many blocks it
+    drew and how many columns it kept."""
     spec, workers, config = _carry_case()
-    args = {"spec": spec, "model": AVG, "config": config, "taus": [0.45], "_tag": 0}
-    forget_counts(monkeypatch)
+    args = {"spec": spec, "model": FIXTURE_MODEL, "config": config, "taus": [0.45], "_tag": 0}
+    forget_carry(monkeypatch)
     estimate_many(workers, **args)
-    # A second tau on the same draws evaluates every worker again and keeps
-    # its four level columns, since the first call used them too.
+    # The second call keeps the four columns, since the first used them too.
     estimate_many(workers, **{**args, "taus": [0.4]})
     assert len(simulate._carry.columns) == 4
-    args.update({
-        "seed": {"config": SimConfig(trials=3000, seed=6)},
-        "trials": {"config": SimConfig(trials=3001, seed=5)},
-        "tag": {"_tag": 1},
-        "model": {"model": MAX},
-        "tau": {"taus": [0.5]},
-        "job": {"spec": JobSpec(spec.s1, spec.s2[::-1], spec.tasks, spec.w, spec.v, spec.tau)},
-    }[change])
+    args.update(_CHANGES[change](spec))
     calls = _record_workers(monkeypatch)
     columns, draws = _spy(monkeypatch, "_level_errors"), _spy(monkeypatch, "_chunk_uniforms")
     changed = estimate_many(workers, **args)
     assert calls == [workers]
-    if change == "tau":
-        # tau keys the counts, not the draws: every column is read from the
-        # carry, so no column is computed and no uniform is drawn.
-        assert columns == [] and draws == [] and len(simulate._carry.columns) == 4
-    else:
-        assert len(columns) == 4 and len(draws) == 1 and simulate._carry.columns == {}
-    forget_counts(monkeypatch)
+    seen = (len(columns), len(draws), len(simulate._carry.columns))
+    forget_carry(monkeypatch)
     assert _bits(changed) == _bits(estimate_many(workers, **args))
+    return seen
 
 
-def test_a_repeat_on_the_same_draws_evaluates_only_new_workers(monkeypatch):
+@pytest.mark.parametrize("change", ["model", "tau", "weights"])
+def test_a_change_outside_the_draws_key_reads_every_carried_column(change, monkeypatch):
+    # No level column depends on the model, tau or the job's weights.
+    assert _after_a_repeat(change, monkeypatch) == (0, 0, 4)
+
+
+@pytest.mark.parametrize("change", ["seed", "trials", "tag", "job"])
+def test_each_part_of_the_draws_key_forces_a_fresh_evaluation(change, monkeypatch):
+    # "job" reorders the action difficulties.
+    assert _after_a_repeat(change, monkeypatch) == (4, 1, 0)
+
+
+def test_a_repeat_on_the_same_draws_evaluates_every_worker_on_carried_columns(monkeypatch):
     spec, workers, config = _carry_case()
     newcomer = linear_worker(0.7, 0.6, 0.2)
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
+    estimate_many(workers, spec, AVG, config, [0.45, None])
     estimate_many(workers, spec, AVG, config, [0.45, None])
     calls = _record_workers(monkeypatch)
-    # ci_level is no part of the key: every estimate is rebuilt from its count.
+    computed = _spy(monkeypatch, "_level_errors")
+    # ci_level is no part of the key.
     repeat = SimConfig(trials=3000, seed=5, ci_level=0.9)
     served = estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None])
-    assert calls == [[newcomer]]
-    assert all(type(k) is int for k in simulate._carry.counts.values())
-    forget_counts(monkeypatch)
+    # Every distinct worker is evaluated; only the newcomer's columns are computed.
+    assert calls == [[workers[1], newcomer, workers[0]]]
+    assert sorted((c, prof) for prof, _, _, c, *_ in computed) == [(0, newcomer.alpha1), (1, newcomer.alpha2)]
+    forget_carry(monkeypatch)
     assert _bits(served) == _bits(estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None]))
-    assert calls[1] == [workers[1], newcomer, workers[0]]
 
 
 def test_threads_alternating_seeds_get_their_single_thread_results(monkeypatch):
@@ -695,7 +712,7 @@ def test_threads_alternating_seeds_get_their_single_thread_results(monkeypatch):
             out.append(_bits(estimate_many([workers[0], other], spec, AVG, config)))
         return out
 
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     alone = {seed: cells(seed) for seed in seeds}
     turns = threading.Barrier(len(seeds))
     got = {}
@@ -719,9 +736,10 @@ def _merge_gain(human, spec, config):
     return gain
 
 
-def test_merge_map_cells_served_by_carried_counts_equal_fresh_cells(monkeypatch):
+def test_merge_map_cells_on_carried_columns_equal_fresh_cells(monkeypatch):
     # A 3x3 per-subskill map and a trust row, cell by cell on one seed: the
-    # human's counts carry from cell to cell and change no bit of any cell.
+    # human is evaluated in every cell, its columns carry from cell to cell,
+    # and neither changes a bit of any cell.
     spec, human = load_fixture_job(), named_worker("human")
     noise = truncnorm_var(AI_VARIANCE / 2)
     trust_partner = Worker(linear_profile(0.1, noise), constant_profile(0.7, noise))
@@ -729,13 +747,16 @@ def test_merge_map_cells_served_by_carried_counts_equal_fresh_cells(monkeypatch)
              for a in (0.0, 0.2, 0.4) for c in (0.6, 0.8, 1.0)]
     cells += [(trust_partner, trust) for trust in (0.8, 1.4, 2.0)]
     gain = _merge_gain(human, spec, SimConfig(trials=2000, seed=17))
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     calls = _record_workers(monkeypatch)
+    computed = _spy(monkeypatch, "_level_errors")
     carried = [gain(other, trust) for other, trust in cells]
-    assert sum(human in workers for workers in calls) == 1
+    assert all(human in workers for workers in calls) and len(calls) == len(cells)
+    # Computed in the first cell, and in the second, which keeps them.
+    assert _column_calls(computed, 0, human.alpha1) == _column_calls(computed, 1, human.alpha2) == 2
     assert any("select" in (m.alpha1.family, m.alpha2.family) for m, _, _ in carried[-3:])
     for (other, trust), cell in zip(cells, carried):
-        forget_counts(monkeypatch)
+        forget_carry(monkeypatch)
         assert gain(other, trust) == cell
 
 
@@ -751,7 +772,7 @@ def test_merge_row_reads_carried_columns_and_equals_fresh_cells(monkeypatch):
     cells += [(Worker(decision, constant_profile(0.7, noise)), trust) for trust in (0.8, 1.1, 1.4)]
     gain = _merge_gain(human, spec, SimConfig(trials=BLOCK_TRIALS // 2, seed=23))
 
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     computed = _spy(monkeypatch, "_level_errors")
     row = [gain(other, None) for other, _ in cells[:9]]
     assert all(merged.alpha1 == human.alpha1 for merged, _, _ in row)
@@ -763,7 +784,7 @@ def test_merge_row_reads_carried_columns_and_equals_fresh_cells(monkeypatch):
 
     fresh = []
     for other, trust in cells:
-        forget_counts(monkeypatch)
+        forget_carry(monkeypatch)
         fresh.append(gain(other, trust))
     assert carried == fresh
     assert _column_calls(computed, 0, decision) == 2 + len(cells)
@@ -782,13 +803,13 @@ def test_err_avg_bisection_reads_the_unchanged_level_and_equals_fresh_steps(monk
 
         def err_avg(*args, **kwargs):
             if fresh:
-                forget_counts(monkeypatch)
+                forget_carry(monkeypatch)
             result = estimate_err_avg(*args, **kwargs)
             steps.append(_bits([result.estimate]))
             return result
 
         monkeypatch.setattr(theory, "estimate_err_avg", err_avg)
-        forget_counts(monkeypatch)
+        forget_carry(monkeypatch)
         del computed[:]
         critical = theory.critical_ability(spec, FIXTURE_MODEL, human, "a1", config=config)
         return critical.hex(), steps, _column_calls(computed, 1, human.alpha2)
@@ -807,12 +828,12 @@ def test_kept_columns_never_exceed_one_chunk_of_uniforms(monkeypatch):
     human = linear_worker(0.3, 0.4, 0.3)
     config = SimConfig(trials=20_000, seed=31)
     workers = [apply_knob(human, "a1", v) for v in np.linspace(0.0, 1.0, 41)]
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     estimate_many(workers, spec, AVG, config, [0.4])
     again = estimate_many(workers, spec, AVG, config, [0.5])
     kept = sum(column.nbytes for column in simulate._carry.columns.values())
     assert 0 < kept <= CHUNK_TRIALS * 2 * spec.n * 8
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     assert again == estimate_many(workers, spec, AVG, config, [0.5])
 
 
@@ -822,7 +843,7 @@ def test_repeated_err_avg_reads_its_carried_columns(trials, monkeypatch):
     # uniforms; past one chunk only one column fits, and it spans two chunks.
     spec, worker = tiny_spec(n=3), linear_worker(0.4, 0.6, 0.3, p=0.3)
     config = SimConfig(trials=trials, seed=37)
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     fresh = estimate_err_avg(worker, spec, AVG, config).estimate
     estimate_err_avg(worker, spec, AVG, config)
     assert len(simulate._carry.columns) == (2 if trials < CHUNK_TRIALS else 1)
@@ -832,20 +853,19 @@ def test_repeated_err_avg_reads_its_carried_columns(trials, monkeypatch):
 
 
 def test_a_worker_served_from_the_counts_lends_its_columns(monkeypatch):
-    # The human is counted in the first call only; the third call's merged-
-    # like worker shares the human's decision level, which the second call
-    # used through the carried counts, so the third call keeps that column
-    # and the fourth reads it.
+    # The second call keeps the human's decision level, and the third and
+    # fourth calls read it, for the human and for a merged-like worker that
+    # shares it.  (The name predates the end of the success-count carry.)
     spec, (human, _), config = _carry_case()
     others = [linear_worker(a, 0.6, 0.2) for a in (0.1, 0.2)]
     sharing = [Worker(human.alpha1, linear_profile(c, uniform_noise(0.2))) for c in (0.5, 0.7)]
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     computed = _spy(monkeypatch, "_level_errors")
     got = [estimate_many([human, other], spec, AVG, config) for other in others + sharing]
-    # Computed for the human in the first call and for sharing[0] in the third.
+    # Computed in the first two calls only.
     assert _column_calls(computed, 0, human.alpha1) == 2
     for other, cell in zip(others + sharing, got):
-        forget_counts(monkeypatch)
+        forget_carry(monkeypatch)
         assert _bits(cell) == _bits(estimate_many([human, other], spec, AVG, config))
 
 
@@ -856,10 +876,10 @@ def _bisected_equals_points(worker, spec, model, param, grid, config, monkeypatc
     """The bisected sweep's estimates, checked equal to ``estimate_many`` on
     the grid workers, each call on fresh draws."""
     bisections = _spy(monkeypatch, "_bisected_counts")
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     got = [pt.estimate for pt in sweep(worker, spec, model, param, grid, config, tau=tau)]
     assert len(bisections) == 1
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     assert got == estimate_many([apply_knob(worker, param, v) for v in grid], spec, model, config, [tau])
     return got
 
@@ -914,7 +934,7 @@ def test_bisected_sweep_spans_chunks_and_ignores_block_size(monkeypatch):
     config = SimConfig(trials=3_000, seed=47)
     small = _bisected_equals_points(human, spec, FIXTURE_MODEL, "a1", grid, config, monkeypatch)
     monkeypatch.undo()
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     assert small == [pt.estimate for pt in sweep(human, spec, FIXTURE_MODEL, "a1", grid, config)]
     assert 0.0 < whole[0].value < whole[-1].value
 
@@ -956,28 +976,12 @@ def test_bisected_sweep_evaluates_log_grid_times_per_block(monkeypatch):
     monkeypatch.setattr(simulate, "make_error_evaluator", counting)
     monkeypatch.setattr(simulate, "_PROCESSES", 1)  # counts the blocks of this process
     columns = _spy(monkeypatch, "_level_errors")
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     sweep(worker, spec, AVG, "a1", grid, SimConfig(trials=2 * BLOCK_TRIALS + 100, seed=59))
     blocks = 3
     assert len(evaluations) <= blocks * math.ceil(math.log2(len(grid) + 1))
     assert sorted(set(evaluations)) == [100, BLOCK_TRIALS]
     assert [c for _, _, _, c, *_ in columns] == [1] * blocks
-
-
-def test_estimate_many_after_a_bisected_sweep_draws_nothing(monkeypatch):
-    spec = load_fixture_job()
-    human = named_worker("human", p=0.4)
-    grid = np.linspace(0.0, 1.0, 21)
-    config = SimConfig(trials=3000, seed=61)
-    forget_counts(monkeypatch)
-    points = sweep(human, spec, FIXTURE_MODEL, "a1", grid, config)
-    draws = _spy(monkeypatch, "_chunk_uniforms")
-    workers = [apply_knob(human, "a1", v) for v in grid[::4]]
-    carried = estimate_many(workers, spec, FIXTURE_MODEL, config)
-    assert draws == []
-    assert carried == [pt.estimate for pt in points[::4]]
-    forget_counts(monkeypatch)
-    assert carried == estimate_many(workers, spec, FIXTURE_MODEL, config)
 
 
 def test_p_sweep_transforms_each_level_twice_per_block(monkeypatch):
@@ -986,13 +990,13 @@ def test_p_sweep_transforms_each_level_twice_per_block(monkeypatch):
     worker = linear_worker(0.4, 0.6, 0.3, kind="trunc")
     grid = [0.0, 0.3, 1.0, 0.3, 0.7, 0.05]
     config = SimConfig(trials=BLOCK_TRIALS + 8, seed=67)
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     monkeypatch.setattr(simulate, "_PROCESSES", 1)  # counts the blocks of this process
     columns = _spy(monkeypatch, "_level_errors")
     got = sweep(worker, spec, AVG, "p", grid, config)
     assert sorted((c, pp) for _, _, pp, c, *_ in columns) == sorted([(0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)] * 2)
     for value, pt in zip(grid, got):
-        forget_counts(monkeypatch)
+        forget_carry(monkeypatch)
         assert pt.estimate == estimate_success_probability(apply_knob(worker, "p", value), spec, AVG, config)
 
 
@@ -1002,7 +1006,7 @@ def test_p_sweep_transforms_each_level_twice_per_block(monkeypatch):
 def _at(p, monkeypatch):
     """Split the next calls among ``p`` processes, on fresh draws."""
     monkeypatch.setattr(simulate, "_PROCESSES", p)
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
 
 
 @pytest.fixture
@@ -1051,8 +1055,7 @@ def test_sweeps_do_not_depend_on_the_split(param, grid, monkeypatch):
 
 @pytest.mark.parametrize("first, then", [(2, 1), (1, 2), (2, 3)])
 def test_a_call_after_a_call_under_another_split_equals_a_fresh_call(first, then, monkeypatch):
-    # The first call's carry holds the counts of its taus and the columns of
-    # its own share; a second tau evaluates every worker again.
+    # The first call's carry holds the columns of its own share only.
     spec, workers = _many_case()
     config = SimConfig(trials=3 * BLOCK_TRIALS + 50, seed=83)
     for p in (first, first, then):
@@ -1074,7 +1077,7 @@ def test_block_size_patched_after_the_peers_exist(monkeypatch):
     _at(3, monkeypatch)
     estimate_many(workers, spec, AVG, SimConfig(trials=3 * BLOCK_TRIALS, seed=90))
     monkeypatch.setattr(simulate, "BLOCK_TRIALS", 64)
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     assert _bits(estimate_many(workers, spec, AVG, config)) == alone
 
 
@@ -1102,10 +1105,10 @@ def test_a_killed_peer_leaves_the_next_call_in_this_process(own_peers, monkeypat
     os.kill(process.pid, signal.SIGKILL)
     process.join(timeout=30)
     assert not process.is_alive()
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     assert _bits(estimate_many(workers, spec, AVG, config)) == alone
     assert own_peers.broken and own_peers.peers == []
-    forget_counts(monkeypatch)
+    forget_carry(monkeypatch)
     assert _bits(estimate_many(workers, spec, AVG, config)) == alone
     assert own_peers.peers == []
 

@@ -294,21 +294,17 @@ def test_bias_rate_properties_and_density():
     rates = [bias_misclassification_rate(b, a, p) for b in np.linspace(0.25, 1.0, 16)]
     assert all(x >= y - 1e-12 for x, y in zip(rates, rates[1:]))
     assert all(0.0 <= r <= 1.0 for r in rates)
-    grid = np.linspace(0, 1, 101)
-    uniform = np.ones_like(grid)
-    for beta in (0.4, 0.6):
-        dens = bias_misclassification_rate(beta, a, p, density=(grid, uniform))
-        assert dens == pytest.approx(bias_misclassification_rate(beta, a, p), abs=1e-6)
 
 
 def test_bias_rate_errors():
     a, p = _exact_curve()
     with pytest.raises(UndefinedThresholdError):
-        bias_misclassification_rate(0.5, a, p, qualify_p=1.5)
+        bias_misclassification_rate(0.5, a, np.clip(p, 0.0, 0.9), qualify_p=0.95)
     with pytest.raises(UndefinedThresholdError):
         bias_misclassification_rate(0.5, a, np.clip(p, 0.3, 1.0), reject_p=0.1)
-    with pytest.raises(ParameterError):
-        bias_misclassification_rate(0.5, a, p, qualify_p=0.5, reject_p=0.6)
+    for qualify_p, reject_p in ((0.5, 0.6), (1.5, 0.6), (0.8, -0.1)):
+        with pytest.raises(ParameterError):
+            bias_misclassification_rate(0.5, a, p, qualify_p=qualify_p, reject_p=reject_p)
     with pytest.raises(ParameterError):
         bias_misclassification_rate(1.2, a, p)
     with pytest.raises(ParameterError):
