@@ -52,6 +52,11 @@ class ErrorModel:
         return self.h != H_MAX and self.g != AGG_MAX and self.f != AGG_MAX
 
     @property
+    def is_all_max(self) -> bool:
+        """h = g = f = max: the job error is the largest covered subskill error."""
+        return self.h == H_MAX and self.g == AGG_MAX and self.f == AGG_MAX
+
+    @property
     def h_scale(self) -> float:
         """Multiplier applied to (zeta_1 + zeta_2) by the skill aggregator."""
         return 0.5 if self.h == H_AVERAGE else 1.0

@@ -47,6 +47,28 @@ reads kept columns only under the split that kept them.  The carry
 changes no bit, and a bisected sweep (below) neither reads nor replaces
 it.
 
+With h = g = f = max a trial succeeds iff every covered subskill error
+is at most tau.  ``estimate_many`` then counts successes from the
+uniforms alone (the threshold path) when every leaf profile that some
+difficulty chooses has uniform noise or none and the call counts at most
+:data:`_THRESHOLD_TAUS` distinct taus, unless the carry holds all of the
+call's columns already (reading them is cheaper than drawing).
+Every uniform is k * 2**-53 for an integer 0 <= k < 2**53.  The
+transform ``e + half*(2q - 1)``, its clip and the error ``1 - x`` are
+chains of correctly rounded operations, each monotone in q (Goldberg
+1991, "What every computer scientist should know about floating-point
+arithmetic"), so a subskill's success at tau is monotone on that
+lattice: the monotone-coupling argument below, made exact per subskill.
+Each (worker, level, tau, difficulty) gets the least k that passes, or
+2**53 when none does, certified with the unchanged transform (k passes
+and k - 1 fails).  A block compares each covered subskill's picked
+uniform (its own u, or beta where sel < p) with its threshold: no
+transform, no job error and no evaluator call per trial, and every
+count equals the column path's bit for bit.  Truncated-normal leaves
+(``ndtri`` is not provably monotone), other models, ``estimate_err_avg``
+and bisected sweeps keep the column path.  The threshold path neither
+reads nor replaces the carry.
+
 CRN ability sweeps rest on monotone coupling (Glasserman & Yao 1992,
 "Some guidelines and guarantees for common random numbers", Management
 Science 38(6)).  Raising a base profile's a, c or beta raises its mean
@@ -85,6 +107,14 @@ CHUNK_TRIALS = 1 << 16
 # BLAS groups rows, and other splits change the bits of the weighted sums.
 BLOCK_TRIALS = 1 << 12
 _BRUTE_BLOCK = 1 << 22
+# ``Generator.random`` returns k * 2**-53 for an integer 0 <= k < 2**53.
+_LATTICE = 1 << 53
+# Most distinct taus a call counts on the threshold path.  Each tau costs
+# that path one comparison pass over a block's uniforms, while the column
+# path counts any number of taus from one error vector: on the
+# max-balanced job (one process) four taus at p = 0.3 ran as slowly as
+# the column path, and 21 taus at p = 0 four times as slowly.
+_THRESHOLD_TAUS = 3
 # Processes a call splits its blocks among; None means one per CPU of the
 # affinity mask.  The split changes no bit of any result.
 _PROCESSES: int | None = None
@@ -328,10 +358,96 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
         del err
 
 
+def _thresholds_apply(workers: list[Worker], spec: JobSpec, model: ErrorModel) -> bool:
+    """Whether uniform thresholds decide every trial of ``workers``: the
+    model is all-max, and every leaf profile that some difficulty chooses
+    has uniform noise or none (``ndtri`` is not provably monotone)."""
+    return model.is_all_max and all(
+        leaf.noise.kind == UNIFORM or leaf.noise.sigma == 0.0
+        for w in workers for prof, s in ((w.alpha1, spec.s1), (w.alpha2, spec.s2))
+        for leaf, chosen in ability._select_sources(prof, s[None, :], True) if np.any(chosen))
+
+
+def _uniform_thresholds(profile: AbilityProfile, s: np.ndarray, taus: list[float]) -> np.ndarray:
+    """The (taus, n) thresholds of one level: at each tau and difficulty,
+    the least uniform k * 2**-53 whose error 1 - x is at most tau, or 1.0
+    when none is.
+
+    The search starts at each leaf's closed-form guess of k, steps away
+    from it in doubling steps until it has probed a passing and a failing
+    k, and bisects between them.  Every k probed goes through the
+    unchanged transform, so the returned k passes and k - 1 fails (or
+    k = 0), which with monotonicity in the uniform is exact."""
+    s_row, tau = s[None, :], np.asarray(taus)[:, None]
+    guess = np.zeros((len(taus), len(s)))
+    for leaf, chosen in ability._select_sources(profile, s_row, True):
+        e, *half = _terms(leaf, s_row)
+        with np.errstate(divide="ignore", invalid="ignore"):  # no noise: half is 0
+            guess = np.where(chosen, ((1.0 - tau - e) / (half[0] if half else 0.0) + 1.0) / 2.0, guess)
+    k = np.minimum(np.ceil(np.nan_to_num(np.clip(guess, 0.0, 1.0)) * _LATTICE), _LATTICE - 1).astype(np.int64)
+    # lo = -1 and hi = 2**53 stand for a failing and a passing k not probed.
+    lo, hi, step = np.full_like(k, -1), np.full_like(k, _LATTICE), 1
+    while (unsettled := hi - lo > 1).any():
+        ok = 1.0 - quantile(profile, s_row, k * 2.0**-53) <= tau
+        hi, lo = np.where(unsettled & ok, k, hi), np.where(unsettled & ~ok, k, lo)
+        k = np.where(lo < 0, hi - step, np.where(hi == _LATTICE, lo + step, (lo + hi) // 2))
+        k = np.minimum(np.maximum(k, lo + 1), hi - 1)
+        step *= 2
+    return hi * 2.0**-53
+
+
+def _threshold_counts(draws: _Draws, workers: list[Worker], taus: list[float], blocks):
+    """Share of ``estimate_many`` on the threshold path (see the module
+    docstring): the (worker, tau) success counts of ``workers`` on
+    ``blocks``, from the draws alone.  A trial succeeds iff every picked
+    uniform of a covered subskill is at least its threshold."""
+    spec, n = draws.spec, draws.spec.n
+    levels = (spec.s1, spec.s2)
+    thresholds = {(col, prof): _uniform_thresholds(prof, levels[col], taus)
+                  for w in workers for col, prof in enumerate((w.alpha1, w.alpha2))}
+    # Per worker and tau, its 2n thresholds in the (n, 2) order of u's rows;
+    # those of an uncovered skill are 0, which every uniform passes.
+    limits = np.empty((len(workers), len(taus), n, 2))
+    for i, w in enumerate(workers):
+        for col, prof in enumerate((w.alpha1, w.alpha2)):
+            limits[i, :, :, col] = thresholds[col, prof]
+    uncovered = np.ones(n, dtype=bool)
+    uncovered[[j for t in spec.tasks for j in t]] = False
+    limits[:, :, uncovered] = 0.0
+    limits = limits.reshape(len(workers), len(taus), 2 * n)
+    by_p: dict[float, list[int]] = {}
+    for i, w in enumerate(workers):
+        by_p.setdefault(w.p, []).append(i)
+    coupled = any(p > 0.0 for p in by_p)
+    rows = max(b - a for *_, a, b in blocks)
+    out, passed = _block_uniforms(n, rows), np.empty((rows, 2 * n), dtype=bool)
+    picked = np.empty((rows, n, 2)) if coupled else None
+    counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
+    for chunk, count, a, b in blocks:
+        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=coupled, rows=(a, b),
+                                       out=out)
+        for p, group in by_p.items():
+            q = u
+            if p > 0.0:  # where sel < p a subskill takes the shared status beta
+                q = picked[:b - a]
+                np.copyto(q, u)
+                np.copyto(q, beta[:, None, None], where=sel < p)
+            q, ok = q.reshape(b - a, 2 * n), passed[:b - a]
+            for i in group:
+                for j, limit in enumerate(limits[i]):
+                    counts[i, j] += np.count_nonzero(np.greater_equal(q, limit, out=ok).all(axis=1))
+    return counts
+
+
 def _count_share(draws: _Draws, workers: list[Worker], taus: list[float], blocks, split):
     """Share of ``estimate_many``: the (worker, tau) success counts of
-    ``workers`` on ``blocks``."""
+    ``workers`` on ``blocks``, on the threshold path where it applies
+    (see the module docstring)."""
     used = _column_keys(workers)
+    carry = _carry
+    held = carry.key == draws.key() and carry.split == split and carry.columns.keys() >= used.keys()
+    if not held and len(taus) <= _THRESHOLD_TAUS and _thresholds_apply(workers, draws.spec, draws.model):
+        return _threshold_counts(draws, workers, taus, blocks)
     carried, keep = _share_columns(draws, split, used)
     counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
     for _, spans, err in _shared_draw_errors(workers, draws, blocks, carried, keep):
@@ -586,7 +702,8 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     Each chunk is drawn once per call; equal workers are evaluated once
     and one error vector is counted against every tau (None means the
     job's own tau).  Level columns that the carry holds are read instead
-    of computed (see the module docstring).  Each estimate equals a call
+    of computed, and all-max calls may count by uniform thresholds
+    instead (see the module docstring).  Each estimate equals a call
     with that worker and tau alone, bit for bit.
     """
     config = config or SimConfig()
@@ -815,13 +932,19 @@ def brute_force_success_probability(
 ) -> float:
     """Exact P by midpoint-rule tensor quadrature over the noise space.
 
-    Only defined for p = 0 (one quadrature dimension per subskill,
-    capped at 6) and p = 1 (a single shared-status dimension).
+    Only defined for p = 0 (one quadrature dimension per subskill) and
+    p = 1 (a single shared-status dimension).  At p = 0 an all-max model
+    counts its grid points as a product of per-dimension node counts,
+    exact in integers at any n.  A linear model counts them as pairs of
+    half-grid sums (Horowitz & Sahni 1974), each half of at most
+    ``_BRUTE_BLOCK`` points; the sums run in another order than the
+    evaluator's, so near tau the count equals the tensor count by test,
+    not by proof.  Other models visit every point, capped at 6
+    dimensions.
     """
     if resolution < 1:
         raise ParameterError(f"resolution must be >= 1, got {resolution}")
     tau = spec.tau if tau is None else float(tau)
-    evaluate = make_error_evaluator(spec, model)
     n = spec.n
     mid = (np.arange(resolution) + 0.5) / resolution
 
@@ -829,12 +952,12 @@ def brute_force_success_probability(
         zeta = np.empty((resolution, n, 2))
         for level, s in ((1, spec.s1), (2, spec.s2)):
             zeta[:, :, level - 1] = 1.0 - quantile(worker.profile(level), s[None, :], mid[:, None])
-        return float((evaluate(zeta) <= tau).mean())
+        return float((make_error_evaluator(spec, model)(zeta) <= tau).mean())
     if worker.p != 0.0:
         raise ParameterError("brute force requires a worker with p = 0 or p = 1")
 
     dims = 2 * n
-    if dims > 6:
+    if not (model.is_all_max or model.is_linear) and dims > 6:
         raise CapacityError(f"{dims} subskill dimensions exceed the exact-quadrature cap of 6")
     # Per-dimension error values at the quadrature nodes, dimension order
     # (skill 0 level 1, skill 0 level 2, skill 1 level 1, ...).
@@ -842,15 +965,51 @@ def brute_force_success_probability(
     for j in range(n):
         zvals[2 * j] = 1.0 - quantile(worker.alpha1, float(spec.s1[j]), mid)
         zvals[2 * j + 1] = 1.0 - quantile(worker.alpha2, float(spec.s2[j]), mid)
+    if model.is_all_max:
+        # A point succeeds iff every covered subskill error is <= tau.
+        covered = {j for t in spec.tasks for j in t}
+        successes = math.prod(int(np.count_nonzero(z <= tau)) if d // 2 in covered else resolution
+                              for d, z in enumerate(zvals))
+    elif model.is_linear:
+        successes = _pair_count(zvals, effective_coefficients(spec, model) * model.h_scale, tau)
+    else:
+        successes = _tensor_count(make_error_evaluator(spec, model), zvals, tau)
+    return successes / resolution**dims
 
+
+def _pair_count(zvals: np.ndarray, coeff: np.ndarray, tau: float) -> int:
+    """Grid points of ``zvals`` (skill-major (2n, R) node errors) whose
+    error sum_j coeff_j * (z_j1 + z_j2) is at most tau: the per-skill
+    terms are summed over each half of the skills' grid, and each sum of
+    the first half searches the sorted sums of the second."""
+    n, resolution = len(coeff), zvals.shape[1]
+    if resolution ** (2 * (n - n // 2)) > _BRUTE_BLOCK:
+        raise CapacityError(f"a half grid of {resolution}^{2 * (n - n // 2)} points exceeds "
+                            f"the pair-count cap of {_BRUTE_BLOCK}")
+
+    def sums(skills) -> np.ndarray:
+        total = np.zeros(1)
+        for j in skills:
+            term = coeff[j] * (zvals[2 * j][:, None] + zvals[2 * j + 1][None, :])
+            total = (total[:, None] + term.ravel()[None, :]).ravel()
+        return total
+
+    right = np.sort(sums(range(n // 2, n)))
+    return int(np.searchsorted(right, tau - sums(range(n // 2)), side="right").sum())
+
+
+def _tensor_count(evaluate, zvals: np.ndarray, tau: float) -> int:
+    """Grid points of ``zvals`` (skill-major (2n, R) node errors) whose
+    job error is at most tau, every point through ``evaluate``."""
+    dims, resolution = zvals.shape
     total = resolution**dims
     strides = [resolution ** (dims - 1 - d) for d in range(dims)]
     successes = 0
     for start in range(0, total, _BRUTE_BLOCK):
         flat = np.arange(start, min(start + _BRUTE_BLOCK, total))
-        zeta = np.empty((flat.size, n, 2))
+        zeta = np.empty((flat.size, dims // 2, 2))
         for d in range(dims):
             idx = (flat // strides[d]) % resolution
             zeta[:, d // 2, d % 2] = zvals[d][idx]
         successes += int((evaluate(zeta) <= tau).sum())
-    return successes / total
+    return successes

@@ -28,7 +28,7 @@ from jobfit.ability import (
 from jobfit.dataio import AI_VARIANCE, load_fixture_job, named_worker
 from jobfit.errors import CapacityError, ParameterError
 from jobfit import simulate, theory
-from jobfit.job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job
+from jobfit.job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job, make_error_evaluator
 from jobfit.merging import evaluate_merge_gain, merge_per_subskill, merge_with_trust
 from jobfit.simulate import (
     BLOCK_TRIALS,
@@ -291,11 +291,37 @@ def test_brute_force_dependent_status():
 
 
 def test_brute_force_capacity_and_p_checks():
+    # Only a model neither linear nor all-max visits every grid point.
     spec = tiny_spec(n=4)
     with pytest.raises(CapacityError):
-        brute_force_success_probability(linear_worker(0.5, 0.5, 0.3), spec, AVG, 10)
+        brute_force_success_probability(linear_worker(0.5, 0.5, 0.3), spec, ErrorModel(h="max"), 10)
     with pytest.raises(ParameterError):
         brute_force_success_probability(linear_worker(0.5, 0.5, 0.3, p=0.5), tiny_spec(2), AVG, 10)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_brute_force_counts_equal_the_tensor_count(seed):
+    # All-max models count by a product of node counts, linear models by
+    # sorted half-grid sums; both equal every point through the evaluator.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    tasks = tuple(tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)))
+                  for _ in range(int(rng.integers(1, 3))))
+    spec = JobSpec(rng.uniform(size=n), rng.uniform(size=n), tasks, rng.uniform(0.2, 1.0, size=n),
+                   rng.uniform(0.2, 1.0, size=len(tasks)), float(rng.uniform(0.1, 0.7)))
+    kind = "uniform" if seed % 2 else "trunc"
+    worker = linear_worker(float(rng.uniform()), float(rng.uniform()), float(rng.uniform(0.0, 0.9)), kind=kind)
+    resolution = int(rng.integers(3, 9))
+    mid = (np.arange(resolution) + 0.5) / resolution
+    zvals = np.stack([1.0 - quantile(prof, float(s[j]), mid)
+                      for j in range(n) for prof, s in ((worker.alpha1, spec.s1), (worker.alpha2, spec.s2))])
+    attained = float(zvals[0, resolution // 2])
+    for model, taus in ((AVG, [spec.tau]), (FIXTURE_MODEL, [spec.tau]),
+                        (MAX, [spec.tau, attained, float(np.nextafter(attained, -1.0))])):
+        for tau in taus:
+            want = simulate._tensor_count(make_error_evaluator(spec, model), zvals, tau)
+            got = brute_force_success_probability(worker, spec, model, resolution, tau)
+            assert got == want / resolution ** (2 * n), (model, tau)
 
 
 def test_estimate_invariants_survive_optimisation():
@@ -381,6 +407,16 @@ def test_max_job_golden_values():
     est = estimate_success_probability(worker, spec, MAX, SimConfig(trials=CHUNK_TRIALS + 1, seed=17))
     assert [est.value.hex(), est.stderr.hex(), est.ci[0].hex(), est.ci[1].hex()] == [
         "0x1.99b2664d99b26p-2", "0x1.f5abe340ff571p-10", "0x1.95db2444c32f4p-2", "0x1.9d89a85670358p-2"]
+
+
+def test_truncated_normal_max_job_golden_values():
+    # Recorded bit for bit before all-max calls counted by uniform
+    # thresholds; truncated-normal noise keeps the column path.
+    spec, _ = _max_case()
+    worker = linear_worker(0.7, 0.7, 0.1, kind="trunc")
+    est = estimate_success_probability(worker, spec, MAX, SimConfig(trials=CHUNK_TRIALS + 1, seed=17), tau=0.45)
+    assert [est.value.hex(), est.stderr.hex(), est.ci[0].hex(), est.ci[1].hex()] == [
+        "0x1.0552faad05530p-1", "0x1.ffe2a695b1bbcp-10", "0x1.035d573ce95ebp-1", "0x1.07489e1d21475p-1"]
 
 
 def reference_level_errors(profile, s, p, col, u, beta, sel):
@@ -581,8 +617,9 @@ def test_estimate_working_set_is_a_block_not_a_chunk():
     assert _traced_peak_mb(lambda: estimate_success_probability(
         human, spec, FIXTURE_MODEL, SimConfig(trials=200_000, seed=3))) < 16.0
     spec, worker = _max_case()
-    assert _traced_peak_mb(lambda: estimate_success_probability(
-        worker, spec, MAX, SimConfig(trials=CHUNK_TRIALS, seed=3))) < 16.0
+    for w in (worker, linear_worker(0.7, 0.7, 0.1, kind="trunc")):  # threshold and column paths
+        assert _traced_peak_mb(lambda: estimate_success_probability(
+            w, spec, MAX, SimConfig(trials=CHUNK_TRIALS, seed=3))) < 16.0
 
 
 def test_estimate_many_holds_one_chunk_of_errors_at_a_time():
@@ -998,6 +1035,85 @@ def test_p_sweep_transforms_each_level_twice_per_block(monkeypatch):
     for value, pt in zip(grid, got):
         forget_carry(monkeypatch)
         assert pt.estimate == estimate_success_probability(apply_knob(worker, "p", value), spec, AVG, config)
+
+
+# --- all-max counts by uniform thresholds -------------------------------------
+
+
+def _column_counts(workers, spec, config, taus):
+    """Each (worker, tau) success count, worker-major, from the all-max job
+    errors of the column path."""
+    errs = [[] for _ in workers]
+    for i, err in errors_by_chunk(workers, spec, MAX, config.trials, config.seed, 0):
+        errs[i].append(err)
+    return [int(np.count_nonzero(np.concatenate(e) <= t)) for e in errs for t in taus]
+
+
+def _counts(estimates):
+    return [round(e.value * e.trials) for e in estimates]
+
+
+def _threshold_case(seed):
+    """A job that may leave skills uncovered, and three workers with uniform
+    or no noise, nested select profiles and p in {0, 0.3, 1}."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    reach = n - int(rng.integers(0, 2))  # the last skill is uncovered half the time
+    tasks = tuple(tuple(sorted(rng.choice(reach, size=int(rng.integers(1, reach + 1)), replace=False)))
+                  for _ in range(int(rng.integers(1, 4))))
+    spec = JobSpec(rng.uniform(size=n), rng.uniform(size=n), tasks, np.ones(n), np.ones(len(tasks)), 0.5)
+
+    def leaf():
+        sigma = float(rng.choice([0.0, 0.3, 1.0]))
+        noise = truncnorm_noise(0.0) if sigma == 0.0 and rng.random() < 0.5 else uniform_noise(sigma)
+        return [constant_profile(float(rng.uniform(0.3, 1.0)), noise),
+                linear_profile(float(rng.uniform()), noise),
+                polynomial_profile(float(rng.uniform(0.3, 3.0)), noise),
+                piecewise_profile([(0.0, 1.0), (float(rng.uniform(0.2, 0.8)), 0.6), (1.0, 0.1)], noise),
+                ][int(rng.integers(4))]
+
+    def profile():
+        if rng.random() < 0.3:
+            inner = select_profile(leaf(), leaf(), float(rng.uniform(0.8, 1.2)))
+            return select_profile(inner, leaf(), float(rng.uniform(0.8, 1.2)))
+        return leaf()
+
+    workers = [Worker(profile(), profile(), float(p)) for p in rng.permutation([0.0, 0.3, 1.0])]
+    return spec, workers
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_threshold_counts_equal_the_column_path(seed, monkeypatch):
+    # Each tau sits on an error some trial attains, or one ulp below it.
+    spec, workers = _threshold_case(seed)
+    config = SimConfig(trials=1500, seed=seed)
+    monkeypatch.setattr(simulate, "BLOCK_TRIALS", 512)
+    errs = [np.concatenate([e for i, e in errors_by_chunk(workers, spec, MAX, config.trials, config.seed, 0)
+                            if i == k]) for k in (0, 1)]
+    attained = [float(np.sort(e)[len(e) // 2]) for e in errs]
+    taus = [attained[0], float(np.nextafter(attained[0], -1.0)), attained[1]]
+    want = _column_counts(workers, spec, config, taus)
+    for processes in (1, 2):
+        _at(processes, monkeypatch)
+        carry = simulate._carry
+        thresholds = _spy(monkeypatch, "_threshold_counts")
+        assert _counts(estimate_many(workers, spec, MAX, config, taus)) == want
+        assert len(thresholds) == 1 and simulate._carry is carry
+    assert 0 < sum(want) < len(want) * config.trials
+
+
+def test_all_max_calls_the_thresholds_do_not_decide_stay_on_the_column_path(monkeypatch):
+    # A truncated-normal worker, a mixed call, and more taus than the
+    # threshold path counts.
+    spec, worker = _max_case()
+    trunc = linear_worker(0.7, 0.7, 0.1, kind="trunc")
+    config = SimConfig(trials=3000, seed=19)
+    thresholds = _spy(monkeypatch, "_threshold_counts")
+    for workers, taus in (([trunc], [0.39, 0.45]), ([worker, trunc], [0.39, 0.45]),
+                          ([worker], [0.36, 0.39, 0.42, 0.45])):
+        forget_carry(monkeypatch)
+        assert _counts(estimate_many(workers, spec, MAX, config, taus)) == _column_counts(workers, spec, config, taus)
+    assert thresholds == []
 
 
 # --- blocks split among processes ---------------------------------------------
