@@ -47,8 +47,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.sigma:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind == UNIFORM and self.sigma > 1.0:
             raise ParameterError(f"uniform noise level must be <= 1, got {self.sigma}")
 
@@ -118,8 +118,8 @@ class AbilityProfile:
         elif self.family == SELECT:
             if self.sources is None or len(self.sources) != 2:
                 raise ParameterError("select profile needs exactly two sources")
-            if len(p) != 1 or p[0] < 0.0:
-                raise ParameterError(f"select profile needs a scale >= 0, got {p}")
+            if len(p) != 1 or not 0.0 <= p[0] < math.inf:
+                raise ParameterError(f"select profile needs a finite scale >= 0, got {p}")
         else:
             raise ParameterError(f"unknown profile family {self.family!r}")
         if self.family != SELECT and self.noise is None:
@@ -132,8 +132,9 @@ def constant_profile(c: float, noise: NoiseModel) -> AbilityProfile:
     return AbilityProfile(CONSTANT, (float(c),), noise)
 
 
-def linear_profile(a: float, noise: NoiseModel, c: float = 1.0) -> AbilityProfile:
-    return AbilityProfile(LINEAR, (float(a), float(c)), noise)
+def linear_profile(a: float, noise: NoiseModel) -> AbilityProfile:
+    """Mean 1 - (1-a)s, the intercept pinned at 1 (as the fitted profiles are)."""
+    return AbilityProfile(LINEAR, (float(a), 1.0), noise)
 
 
 def polynomial_profile(beta: float, noise: NoiseModel) -> AbilityProfile:

@@ -105,6 +105,8 @@ def _noise(args, prefix: str, level: int) -> NoiseModel:
     if var is not None and sigma is not None:
         raise ParameterError(f"give either sigma{level} or var{level}, not both")
     if var is not None:
+        if not var >= 0.0:
+            raise ParameterError(f"--{prefix.replace('_', '-')}var{level} must be >= 0, got {var}")
         sigma = math.sqrt(var)
     if sigma is None:
         sigma = _get(args, prefix, "sigma")
@@ -237,22 +239,18 @@ def _jsonable(obj):
     return obj
 
 
-def _write_outputs(args, argv, payloads: dict[str, str]) -> None:
-    """payloads: {suffix or '': text}; '' uses --out as given."""
+def _write_outputs(args, argv, text: str) -> None:
+    """Write ``text`` to --out, if given, and its manifest beside it."""
     if not args.out:
         return
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    written = []
-    for suffix, text in payloads.items():
-        path = out if not suffix else out.with_name(out.name + suffix)
-        path.write_text(text, encoding="utf-8")
-        written.append(str(path))
+    out.write_text(text, encoding="utf-8")
     manifest = {
         "tool": "jobfit",
         "version": __version__,
         "argv": list(argv),
-        "outputs": written,
+        "outputs": [str(out)],
     }
     Path(str(out) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -282,7 +280,7 @@ def _cmd_estimate(args, argv) -> None:
     est = estimate_success_probability(worker, spec, model, _config(args))
     doc = {"kind": "estimate", "tau": spec.tau, "estimate": est}
     print(f"P = {est.value:.4f} +- {est.stderr:.4f} (tau={spec.tau}, trials={est.trials})")
-    _write_outputs(args, argv, {"": _report_text(doc)})
+    _write_outputs(args, argv, _report_text(doc))
 
 
 def _cmd_sweep(args, argv) -> None:
@@ -307,7 +305,7 @@ def _cmd_sweep(args, argv) -> None:
             "trials": config.trials, "seed": config.seed,
         }
         print(f"heatmap {args.param} x {args.param2}: {len(grid)}x{len(grid2)} points")
-        _write_outputs(args, argv, {"": _report_text(doc)})
+        _write_outputs(args, argv, _report_text(doc))
         return
     points = sweep(worker, spec, model, args.param, grid, config, crn=args.crn)
     lo, hi = points[0].estimate.value, points[-1].estimate.value
@@ -316,9 +314,9 @@ def _cmd_sweep(args, argv) -> None:
         doc = {"kind": "sweep", "points": [
             {"param": pt.param, "value": pt.value, "estimate": pt.estimate} for pt in points
         ]}
-        _write_outputs(args, argv, {"": _report_text(doc)})
+        _write_outputs(args, argv, _report_text(doc))
     else:
-        _write_outputs(args, argv, {"": _sweep_csv(points)})
+        _write_outputs(args, argv, _sweep_csv(points))
 
 
 def _heatmap(worker, spec, model, param1, grid1, param2, grid2, config, crn) -> list[float]:
@@ -369,7 +367,7 @@ def _cmd_phase(args, argv) -> None:
         print(f"warning: P = 0 at {args.vary} = {report.at_low:.4f} and P = 1 at {args.vary} = "
               f"{report.at_high:.4f}, both with stderr 0: the check cannot tell whether the window "
               f"is narrower than predicted", file=sys.stderr)
-    _write_outputs(args, argv, {"": _report_text({"kind": "phase", "report": report})})
+    _write_outputs(args, argv, _report_text({"kind": "phase", "report": report}))
 
 
 def _cmd_merge(args, argv) -> None:
@@ -399,7 +397,7 @@ def _cmd_merge(args, argv) -> None:
     print(f"delta = {result.delta:+.4f} "
           f"(P_A={result.table['A'].value:.3f}, P_B={result.table['B'].value:.3f}, "
           f"P_merged={result.table['merged'].value:.3f})")
-    _write_outputs(args, argv, {"": _report_text(doc)})
+    _write_outputs(args, argv, _report_text(doc))
 
 
 def _cmd_compress(args, argv) -> None:
@@ -411,7 +409,7 @@ def _cmd_compress(args, argv) -> None:
     report = theory.compression_bound(low, high, ai, spec, model, args.theta, config=_config(args))
     print(f"PC = {report.pc:.4f} (P1={report.p1.value:.3f}, P2={report.p2.value:.3f}, "
           f"P1'={report.p1_merged.value:.3f}, P2'={report.p2_merged.value:.3f})")
-    _write_outputs(args, argv, {"": _report_text({"kind": "compress", "report": report})})
+    _write_outputs(args, argv, _report_text({"kind": "compress", "report": report}))
 
 
 def _cmd_bias(args, argv) -> None:
@@ -429,7 +427,7 @@ def _cmd_bias(args, argv) -> None:
            "rates": rates, "curve_a": list(grid), "curve_p": curve_p}
     for beta, r in rates.items():
         print(f"beta={beta}: misclassification rate = {r:.4f}")
-    _write_outputs(args, argv, {"": _report_text(doc)})
+    _write_outputs(args, argv, _report_text(doc))
 
 
 def _cmd_divide(args, argv) -> None:
@@ -437,7 +435,7 @@ def _cmd_divide(args, argv) -> None:
     doc = {"kind": "divide", "proficiency": args.s, "decision_degree": args.decision_degree,
            "psi": args.psi, "s1": s1, "s2": s2}
     print(f"s1 = {s1:.6g}, s2 = {s2:.6g}")
-    _write_outputs(args, argv, {"": _report_text(doc)})
+    _write_outputs(args, argv, _report_text(doc))
 
 
 def _cmd_fit(args, argv) -> None:
@@ -447,7 +445,7 @@ def _cmd_fit(args, argv) -> None:
            "fits": {name: {"a": a, "sigma_sq": v} for name, (a, v) in fits.items()}}
     for name, (a, var) in fits.items():
         print(f"{name}: a = {a:.4f}, sigma_sq = {var:.5f}")
-    _write_outputs(args, argv, {"": _report_text(doc)})
+    _write_outputs(args, argv, _report_text(doc))
 
 
 def _read_manifest(path: str) -> list[str]:

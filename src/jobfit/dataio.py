@@ -49,30 +49,18 @@ PSI_CHOICES = {
 }
 
 
-def _resolve_psi(psi):
-    if callable(psi):
-        fn = psi
-    else:
-        try:
-            fn = PSI_CHOICES[psi]
-        except KeyError:
-            raise ParameterError(f"unknown psi {psi!r}; choose from {sorted(PSI_CHOICES)}")
-    if abs(fn(0.0)) > 1e-12 or abs(fn(1.0) - 1.0) > 1e-12:
-        raise ParameterError("psi must satisfy psi(0) = 0 and psi(1) = 1")
-    return fn
-
-
-def divide_subskills(proficiency: float, degree: float, psi="identity") -> tuple[float, float]:
+def divide_subskills(proficiency: float, degree: float, psi: str = "identity") -> tuple[float, float]:
     """Split a skill difficulty into (decision, action) parts:
-    s1 = psi(degree) * s and s2 = (1 - psi(degree)) * s, so s1 + s2 = s."""
+    s1 = psi(degree) * s and s2 = (1 - psi(degree)) * s, so s1 + s2 = s.
+    ``psi`` names one of :data:`PSI_CHOICES`, each a map of [0, 1] onto
+    itself with psi(0) = 0 and psi(1) = 1."""
     if not 0.0 <= proficiency <= 1.0:
         raise ParameterError(f"proficiency must lie in [0,1], got {proficiency}")
     if not 0.0 <= degree <= 1.0:
         raise ParameterError(f"decision degree must lie in [0,1], got {degree}")
-    frac = _resolve_psi(psi)(degree)
-    if not 0.0 <= frac <= 1.0:
-        raise ParameterError(f"psi({degree}) = {frac} outside [0,1]")
-    s1 = frac * proficiency
+    if psi not in PSI_CHOICES:
+        raise ParameterError(f"unknown psi {psi!r}; choose from {sorted(PSI_CHOICES)}")
+    s1 = PSI_CHOICES[psi](degree) * proficiency
     return s1, proficiency - s1
 
 
@@ -169,8 +157,7 @@ def parse_job_record(doc: dict) -> RawJobRecord:
                         dict(doc.get("provenance", {})), version)
 
 
-def record_to_spec(record: RawJobRecord, psi="identity", divide: bool = True,
-                   tau: float | None = None) -> JobSpec:
+def record_to_spec(record: RawJobRecord, psi: str = "identity", divide: bool = True) -> JobSpec:
     """Build the simulation-facing spec.
 
     ``divide=True`` applies the subskill division to every skill.  With
@@ -191,7 +178,7 @@ def record_to_spec(record: RawJobRecord, psi="identity", divide: bool = True,
         tuple(tuple(j - 1 for j in t.skills) for t in record.tasks),
         [sk.importance for sk in record.skills],
         [t.importance for t in record.tasks],
-        record.tau if tau is None else float(tau),
+        record.tau,
         skill_names=tuple(sk.name for sk in record.skills),
         task_names=tuple(t.name for t in record.tasks),
         meta={"name": record.name, "divided": divide},
@@ -210,8 +197,8 @@ def load_job_record(path) -> RawJobRecord:
     return parse_job_record(doc)
 
 
-def load_job_spec(path, psi="identity", divide: bool = True, tau: float | None = None) -> JobSpec:
-    return record_to_spec(load_job_record(path), psi=psi, divide=divide, tau=tau)
+def load_job_spec(path, psi: str = "identity", divide: bool = True) -> JobSpec:
+    return record_to_spec(load_job_record(path), psi=psi, divide=divide)
 
 
 @dataclass(frozen=True)
@@ -266,8 +253,8 @@ def fixture_path(name: str) -> Path:
     return Path(resources.files("jobfit") / "fixtures" / name)
 
 
-def load_fixture_job(psi="identity", divide: bool = True, tau: float | None = None) -> JobSpec:
-    return load_job_spec(fixture_path(FIXTURE_JOB), psi=psi, divide=divide, tau=tau)
+def load_fixture_job(divide: bool = True) -> JobSpec:
+    return load_job_spec(fixture_path(FIXTURE_JOB), divide=divide)
 
 
 WORKER_PRESETS = ("human", "ai", "human-skill", "ai-skill")

@@ -120,9 +120,8 @@ def merge_with_trust(worker_a: Worker, worker_b: Worker, spec: JobSpec,
                      trust: float) -> tuple[Worker, MergePlan]:
     """Per-subskill merge where worker B's ability estimates are biased by
     the factor ``trust`` during assignment; execution uses B's true
-    profiles.  trust > 1 over-assigns work to B, trust < 1 under-assigns."""
-    if trust < 0.0:
-        raise ParameterError(f"trust must be >= 0, got {trust}")
+    profiles.  trust > 1 over-assigns work to B, trust < 1 under-assigns;
+    it must be finite and >= 0."""
     return _merge(worker_a, worker_b, spec, float(trust), TRUST_SCALED)
 
 
@@ -138,7 +137,6 @@ def evaluate_merge_gain(
     spec: JobSpec,
     model: ErrorModel,
     config: SimConfig | None = None,
-    tau: float | None = None,
 ) -> MergeGainResult:
     """Estimate P for every worker on shared draws and report
     max over candidates minus max over the base workers (may be negative
@@ -151,7 +149,7 @@ def evaluate_merge_gain(
     if overlap:
         raise ParameterError(f"names appear in both base and candidates: {sorted(overlap)}")
     workers = {**base, **candidates}
-    table = dict(zip(workers, estimate_many(list(workers.values()), spec, model, config, [tau])))
+    table = dict(zip(workers, estimate_many(list(workers.values()), spec, model, config)))
     best_candidate = max(table[name].value for name in candidates)
     best_base = max(table[name].value for name in base)
     return MergeGainResult(table, best_candidate - best_base)

@@ -118,6 +118,8 @@ _THRESHOLD_TAUS = 3
 # Processes a call splits its blocks among; None means one per CPU of the
 # affinity mask.  The split changes no bit of any result.
 _PROCESSES: int | None = None
+# z of every two-sided 95 % confidence interval, ndtri(0.5 + 0.95 / 2).
+_Z = float(ndtri(0.975))
 
 
 @dataclass(frozen=True)
@@ -145,17 +147,18 @@ class Worker:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Trials and master seed of a Monte Carlo call.  Every estimate's CI
+    is the two-sided 95 % normal interval; the success threshold is the
+    job's own tau (``JobSpec.with_tau`` moves it)."""
+
     trials: int = 10_000
     seed: int = 1234
-    ci_level: float = 0.95
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ParameterError(f"ci_level must lie in (0,1), got {self.ci_level}")
 
 
 @dataclass(frozen=True)
@@ -470,12 +473,12 @@ def _error_share(draws: _Draws, worker: Worker, blocks, split):
     return pieces
 
 
-def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], tau: float,
-                     blocks, split):
+def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], blocks, split):
     """Share of a bisected sweep: on ``blocks``, how many trials of
     ``worker``, with level ``col + 1`` set to each of ``profiles`` (in
-    order of non-decreasing mean ability), first succeed at each index in
-    [0, K] (K when none succeeds), by bisection per trial.
+    order of non-decreasing mean ability), first succeed (job error at
+    most the job's tau) at each index in [0, K] (K when none succeeds), by
+    bisection per trial.
 
     Each block computes the other level's column once into its slot, and
     this level's uniforms once; the carry is neither read nor kept.  Each
@@ -507,18 +510,17 @@ def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[Abi
             mid = (lo + hi) // 2
             _transform(profiles[0], [term[np.minimum(mid, last)] for term in terms], q, slot)
             np.subtract(1.0, slot, out=slot)
-            ok = evaluate(zeta) <= tau
+            ok = evaluate(zeta) <= spec.tau
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, np.minimum(mid + 1, hi))
         firsts += np.bincount(lo, minlength=last + 2)
     return firsts
 
 
-def _binomial_estimate(successes: int, trials: int, seed: int, ci_level: float) -> SimEstimate:
+def _binomial_estimate(successes: int, trials: int, seed: int) -> SimEstimate:
     p = successes / trials
     stderr = math.sqrt(p * (1.0 - p) / trials)
-    z = float(ndtri(0.5 + ci_level / 2.0))
-    ci = (max(0.0, p - z * stderr), min(1.0, p + z * stderr))
+    ci = (max(0.0, p - _Z * stderr), min(1.0, p + _Z * stderr))
     return SimEstimate(p, stderr, ci, trials, seed)
 
 
@@ -715,20 +717,14 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     counts = sum(_run_shares("_count_share", _Draws(spec, model, config.seed, _tag, config.trials),
                              (distinct, distinct_taus))).tolist()
     successes = {(w, t): k for w, row in zip(distinct, counts) for t, k in zip(distinct_taus, row)}
-    return [_binomial_estimate(successes[w, t], config.trials, config.seed, config.ci_level)
-            for w in workers for t in taus]
+    return [_binomial_estimate(successes[w, t], config.trials, config.seed) for w in workers for t in taus]
 
 
-def estimate_success_probability(
-    worker: Worker,
-    spec: JobSpec,
-    model: ErrorModel,
-    config: SimConfig | None = None,
-    tau: float | None = None,
-    _tag: int = 0,
-) -> SimEstimate:
-    """Fraction of trials with job error <= tau, with binomial stderr/CI."""
-    return estimate_many([worker], spec, model, config, [tau], _tag)[0]
+def estimate_success_probability(worker: Worker, spec: JobSpec, model: ErrorModel,
+                                 config: SimConfig | None = None) -> SimEstimate:
+    """Fraction of trials with job error <= the job's tau, with binomial
+    stderr/CI."""
+    return estimate_many([worker], spec, model, config)[0]
 
 
 def exact_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel) -> float | None:
@@ -761,18 +757,14 @@ class ErrAvgResult:
     exact: float | None
 
 
-def estimate_err_avg(
-    worker: Worker,
-    spec: JobSpec,
-    model: ErrorModel,
-    config: SimConfig | None = None,
-    _tag: int = 0,
-) -> ErrAvgResult:
+def estimate_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel,
+                     config: SimConfig | None = None) -> ErrAvgResult:
     """Monte Carlo mean of the job error; exact value attached when available.
 
-    It shares the carry of level columns with ``estimate_many``."""
+    It runs on tag 0 and shares the carry of level columns with
+    ``estimate_many``."""
     config = config or SimConfig()
-    pieces = _run_shares("_error_share", _Draws(spec, model, config.seed, _tag, config.trials), (worker,))
+    pieces = _run_shares("_error_share", _Draws(spec, model, config.seed, 0, config.trials), (worker,))
     # Each chunk's errors are summed whole, as one vector, whatever the split.
     errors = [np.empty(count) for _, count in _chunk_streams(config.trials)]
     for chunk, a, b, err in itertools.chain.from_iterable(pieces):
@@ -786,8 +778,7 @@ def estimate_err_avg(
     mean = total / nt
     var = max(0.0, (total_sq - nt * mean * mean) / max(1, nt - 1))
     stderr = math.sqrt(var / nt)
-    z = float(ndtri(0.5 + config.ci_level / 2.0))
-    est = SimEstimate(mean, stderr, (mean - z * stderr, mean + z * stderr), nt, config.seed)
+    est = SimEstimate(mean, stderr, (mean - _Z * stderr, mean + _Z * stderr), nt, config.seed)
     return ErrAvgResult(est, exact_err_avg(worker, spec, model))
 
 
@@ -843,19 +834,18 @@ class SweepPoint:
 
 
 def _bisected_sweep(worker: Worker, col: int, grid: list[float], workers: list[Worker], spec: JobSpec,
-                    model: ErrorModel, config: SimConfig | None, tau: float | None) -> list[SimEstimate]:
+                    model: ErrorModel, config: SimConfig | None) -> list[SimEstimate]:
     """P of each grid worker (``worker`` with level ``col + 1`` set at the
     grid value) on tag 0, by :func:`_bisected_counts`, which leaves the
     carry as it is."""
     config = config or SimConfig()
-    tau = float(spec.tau if tau is None else tau)
     by_value = dict(zip(grid, workers))
     values = sorted(by_value)
     profiles = [by_value[v].profile(col + 1) for v in values]
     firsts = _run_shares("_bisected_counts", _Draws(spec, model, config.seed, 0, config.trials),
-                         (worker, col, profiles, tau))
+                         (worker, col, profiles))
     count_at = dict(zip(values, np.cumsum(sum(firsts))[:-1].tolist()))
-    return [_binomial_estimate(count_at[v], config.trials, config.seed, config.ci_level) for v in grid]
+    return [_binomial_estimate(count_at[v], config.trials, config.seed) for v in grid]
 
 
 def sweep(
@@ -866,7 +856,6 @@ def sweep(
     grid,
     config: SimConfig | None = None,
     crn: bool = True,
-    tau: float | None = None,
 ) -> list[SweepPoint]:
     """Estimate P along a parameter grid.
 
@@ -893,15 +882,15 @@ def sweep(
         cases = [(worker, t) for t in grid]
     else:
         factory = _worker_factory(worker, param)
-        cases = [(factory(value), tau) for value in grid]
+        cases = [(factory(value), None) for value in grid]
     if not crn:
         ests = [estimate_many([w], spec, model, config, [t], 1 + i)[0] for i, (w, t) in enumerate(cases)]
     elif param == "tau":
         ests = estimate_many([worker], spec, model, config, grid)
     elif param[:-1] in _KNOB_FAMILIES and not callable(worker):
-        ests = _bisected_sweep(worker, int(param[-1]) - 1, grid, [w for w, _ in cases], spec, model, config, tau)
+        ests = _bisected_sweep(worker, int(param[-1]) - 1, grid, [w for w, _ in cases], spec, model, config)
     else:
-        ests = estimate_many([w for w, _ in cases], spec, model, config, [tau])
+        ests = estimate_many([w for w, _ in cases], spec, model, config)
     return [SweepPoint(param, value, est) for value, est in zip(grid, ests)]
 
 
@@ -913,13 +902,12 @@ def finite_diff_derivative(
     at: float,
     step: float,
     config: SimConfig | None = None,
-    tau: float | None = None,
 ) -> float:
     """|P(at+step) - P(at-step)| / (2 step), both sides on common random numbers."""
     if step <= 0.0:
         raise ParameterError(f"step must be > 0, got {step}")
     factory = _worker_factory(worker, param)
-    hi, lo = estimate_many([factory(at + step), factory(at - step)], spec, model, config, [tau])
+    hi, lo = estimate_many([factory(at + step), factory(at - step)], spec, model, config)
     return abs(hi.value - lo.value) / (2.0 * step)
 
 
@@ -928,7 +916,6 @@ def brute_force_success_probability(
     spec: JobSpec,
     model: ErrorModel,
     resolution: int,
-    tau: float | None = None,
 ) -> float:
     """Exact P by midpoint-rule tensor quadrature over the noise space.
 
@@ -944,8 +931,7 @@ def brute_force_success_probability(
     """
     if resolution < 1:
         raise ParameterError(f"resolution must be >= 1, got {resolution}")
-    tau = spec.tau if tau is None else float(tau)
-    n = spec.n
+    tau, n = spec.tau, spec.n
     mid = (np.arange(resolution) + 0.5) / resolution
 
     if worker.p == 1.0:

@@ -15,7 +15,6 @@ was used.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,8 @@ from .simulate import (
 PAPER_MAIN = "paper-main"
 APPENDIX_GENERAL = "appendix-general"
 
-POLY_DOMAIN_DEFAULT = (0.5, 2.0)
+# The polynomial exponents over which min_derivative takes its infimum.
+POLY_DOMAIN = (0.5, 2.0)
 
 _FAMILY_KNOB = {ability.LINEAR: "a", ability.CONSTANT: "c", ability.POLYNOMIAL: "beta"}
 _PARAM_BRACKET = {ability.LINEAR: (0.0, 1.0), ability.CONSTANT: (0.0, 1.0),
@@ -95,20 +95,15 @@ def dispersion(noise1: NoiseModel, noise2: NoiseModel, n: int,
     raise ParameterError(f"unknown dispersion convention {convention!r}")
 
 
-def min_derivative(
-    spec: JobSpec,
-    model: ErrorModel,
-    family: str,
-    level: int,
-    domain: tuple[float, float] | None = None,
-) -> float:
+def min_derivative(spec: JobSpec, model: ErrorModel, family: str, level: int) -> float:
     """Minimum |d Err_avg / d parameter| over the parameter domain.
 
     Linear family: the derivative is constant, sum_j c_j * s_jl times the
     h scale.  Constant family: sum_j c_j times the h scale.  Polynomial:
-    inf over the domain of sum_j c_j * beta * s^(beta-1); the default
-    domain [0.5, 2] keeps it positive, and any domain touching 0 makes
-    the infimum collapse to zero (infinite transition width).
+    inf of sum_j c_j * beta * s^(beta-1) over beta in the fixed
+    :data:`POLY_DOMAIN` [0.5, 2], on a 401-point grid; the domain stays
+    clear of 0, where the infimum would collapse to zero (infinite
+    transition width).
     """
     if level not in (1, 2):
         raise ParameterError(f"level must be 1 or 2, got {level}")
@@ -119,11 +114,7 @@ def min_derivative(
     if family == ability.CONSTANT:
         return float(coeff.sum())
     if family == ability.POLYNOMIAL:
-        lo, hi = domain if domain is not None else POLY_DOMAIN_DEFAULT
-        if lo <= 0.0:
-            warnings.warn("polynomial sensitivity domain touches 0; MinDer collapses to 0")
-            return 0.0
-        betas = np.linspace(lo, hi, 401)
+        betas = np.linspace(*POLY_DOMAIN, 401)
         pos = s > 0.0
         vals = [float(coeff[pos] @ (b * s[pos] ** (b - 1.0))) for b in betas]
         return min(vals)
@@ -172,27 +163,19 @@ def _err_avg_fn(spec: JobSpec, model: ErrorModel, config: SimConfig | None):
     return err_avg
 
 
-def critical_ability(
-    spec: JobSpec,
-    model: ErrorModel,
-    worker: Worker,
-    vary: str,
-    tau: float | None = None,
-    config: SimConfig | None = None,
-    bracket: tuple[float, float] | None = None,
-    tol: float = 1e-6,
-) -> float:
-    """Parameter value where the expected job error equals tau.
+def critical_ability(spec: JobSpec, model: ErrorModel, worker: Worker, vary: str,
+                     config: SimConfig | None = None) -> float:
+    """Parameter value where the expected job error equals the job's tau.
 
     ``vary`` is the ability knob of one level's base family (a1, a2, c1,
     c2, beta1, beta2); the map from the parameter to Err_avg is monotone
-    decreasing, so bisection applies.
+    decreasing, so bisection applies, over the family's bracket (a and c
+    in [0, 1], beta in [0, 8]) until it is at most 1e-6 wide.
     Monte Carlo evaluations reuse one set of draws, keeping the objective
     monotone despite the noise.
     """
-    tau = spec.tau if tau is None else float(tau)
-    if bracket is None:
-        bracket = _PARAM_BRACKET[worker.profile(_vary_level(worker, vary)).family]
+    tau = spec.tau
+    bracket = _PARAM_BRACKET[worker.profile(_vary_level(worker, vary)).family]
     lo, hi = bracket
     err_avg = _err_avg_fn(spec, model, config)
     e_lo = err_avg(apply_knob(worker, vary, lo))
@@ -207,7 +190,7 @@ def critical_ability(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= 1e-6:
             break
     return 0.5 * (lo + hi)
 
@@ -236,21 +219,18 @@ def verify_phase_transition(
     worker: Worker,
     vary: str,
     theta: float,
-    tau: float | None = None,
     config: SimConfig | None = None,
     convention: str = PAPER_MAIN,
-    poly_domain: tuple[float, float] | None = None,
 ) -> PhaseReport:
     """Locate the critical parameter, compute the predicted transition
     width, and check P empirically on both sides of the window."""
     _check_theta(theta)
-    tau = spec.tau if tau is None else float(tau)
     config = config or SimConfig()
     level = _vary_level(worker, vary)
     profile = worker.profile(level)
-    mu_c = critical_ability(spec, model, worker, vary, tau=tau, config=config)
+    mu_c = critical_ability(spec, model, worker, vary, config)
     L = lipschitz_bound(spec, model)
-    min_der = min_derivative(spec, model, profile.family, level, domain=poly_domain)
+    min_der = min_derivative(spec, model, profile.family, level)
     other = worker.profile(3 - level)
     disp = dispersion(profile.noise, other.noise, spec.n, convention)
     if worker.p > 0.0:
@@ -261,11 +241,11 @@ def verify_phase_transition(
     at_low = max(lo_b, mu_c - gamma) if math.isfinite(gamma) else lo_b
     at_high = min(hi_b, mu_c + gamma) if math.isfinite(gamma) else hi_b
     p_low, p_high = estimate_many([apply_knob(worker, vary, at_low), apply_knob(worker, vary, at_high)],
-                                  spec, model, config, [tau])
+                                  spec, model, config)
     verified = (p_low.value <= theta + 3.0 * p_low.stderr) and (
         p_high.value >= 1.0 - theta - 3.0 * p_high.stderr
     )
-    return PhaseReport(vary, mu_c, gamma, L, min_der, disp, theta, tau,
+    return PhaseReport(vary, mu_c, gamma, L, min_der, disp, theta, spec.tau,
                        convention, at_low, at_high, p_low, p_high, verified)
 
 
@@ -291,7 +271,6 @@ def merging_condition(
     spec: JobSpec,
     model: ErrorModel,
     theta: float,
-    tau: float | None = None,
     config: SimConfig | None = None,
     convention: str = PAPER_MAIN,
 ) -> MergeReport:
@@ -299,7 +278,6 @@ def merging_condition(
     (W1 decisions, W2 actions) beats W2 by 1 - 2 theta, and measure all
     four level combinations empirically on shared draws."""
     _check_theta(theta)
-    tau = spec.tau if tau is None else float(tau)
     config = config or SimConfig()
     for level in (1, 2):
         f1, f2 = worker1.profile(level).family, worker2.profile(level).family
@@ -321,11 +299,11 @@ def merging_condition(
     right_w = apply_knob(Worker(worker2.alpha1, worker2.alpha2), knob, min(hi_b, mu1_2 + gammas["2"]))
     err_left = err_avg(left_w)
     err_right = err_avg(right_w)
-    holds = err_left <= tau <= err_right and all(math.isfinite(g) for g in gammas.values())
+    holds = err_left <= spec.tau <= err_right and all(math.isfinite(g) for g in gammas.values())
 
     workers = (worker1, worker2, merging.merge_uniform(worker1, worker2, ("A", "B")),
                merging.merge_uniform(worker1, worker2, ("B", "A")))
-    estimates = dict(zip(("p1", "p2", "p12", "p21"), estimate_many(workers, spec, model, config, [tau])))
+    estimates = dict(zip(("p1", "p2", "p12", "p21"), estimate_many(workers, spec, model, config)))
     delta = max(e.value for e in estimates.values()) - max(estimates["p1"].value, estimates["p2"].value)
     return MergeReport(
         gammas["1"], gammas["2"], err_left, err_right, holds,
@@ -354,9 +332,7 @@ def compression_bound(
     spec: JobSpec,
     model: ErrorModel,
     theta: float,
-    tau: float | None = None,
     config: SimConfig | None = None,
-    convention: str = PAPER_MAIN,
 ) -> CompressionReport:
     """Productivity compression from pairing each human with the same
     assistant: PC = |P2 - P1| - |P2' - P1'|.
@@ -364,10 +340,10 @@ def compression_bound(
     The analytic lower bound 1 - 2 theta needs equal decision-level
     profiles across the humans, matching decision noise for the
     assistant, a weaker assistant decision mean, and a shared action
-    family; failures downgrade the report to empirical-only.
+    family; failures downgrade the report to empirical-only.  Its
+    transition widths take the paper-main dispersion.
     """
     _check_theta(theta)
-    tau = spec.tau if tau is None else float(tau)
     config = config or SimConfig()
     notes: list[str] = []
     if worker_low.alpha1 != worker_high.alpha1:
@@ -392,7 +368,7 @@ def compression_bound(
 
         def gamma2(w: Worker) -> float:
             md = min_derivative(spec, model, w.alpha2.family, 2)
-            return transition_width(L, dispersion(w.alpha2.noise, sigma1, spec.n, convention), md, theta)
+            return transition_width(L, dispersion(w.alpha2.noise, sigma1, spec.n), md, theta)
 
         g_low, g_high, g_ai = gamma2(worker_low), gamma2(worker_high), gamma2(worker_ai)
         lo_b, hi_b = _PARAM_BRACKET[worker_low.alpha2.family]
@@ -403,15 +379,14 @@ def compression_bound(
         left = max(err_at(worker_ai, max(lo_b, family_param(worker_ai.alpha2) - g_ai)),
                    err_at(worker_high, max(lo_b, family_param(worker_high.alpha2) - g_high)))
         right = err_at(worker_low, min(hi_b, family_param(worker_low.alpha2) + g_low))
-        holds = left <= tau <= right and all(map(math.isfinite, (g_low, g_high, g_ai)))
+        holds = left <= spec.tau <= right and all(map(math.isfinite, (g_low, g_high, g_ai)))
         guaranteed = (1.0 - 2.0 * theta) if holds else None
     elif not same_action_family:
         notes.append("action-level families differ; analytic bound skipped")
 
     merged_low, _ = merging.merge_per_subskill(worker_low, worker_ai, spec)
     merged_high, _ = merging.merge_per_subskill(worker_high, worker_ai, spec)
-    p1, p2, p1m, p2m = estimate_many([worker_low, worker_high, merged_low, merged_high],
-                                     spec, model, config, [tau])
+    p1, p2, p1m, p2m = estimate_many([worker_low, worker_high, merged_low, merged_high], spec, model, config)
     pc = abs(p2.value - p1.value) - abs(p2m.value - p1m.value)
     return CompressionReport(p1, p2, p1m, p2m, pc, holds, guaranteed, theta, tuple(notes))
 

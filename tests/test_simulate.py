@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from jobfit.ability import (
+    LINEAR,
+    AbilityProfile,
     cdf,
     constant_profile,
     linear_profile,
@@ -320,7 +322,7 @@ def test_brute_force_counts_equal_the_tensor_count(seed):
                         (MAX, [spec.tau, attained, float(np.nextafter(attained, -1.0))])):
         for tau in taus:
             want = simulate._tensor_count(make_error_evaluator(spec, model), zvals, tau)
-            got = brute_force_success_probability(worker, spec, model, resolution, tau)
+            got = brute_force_success_probability(worker, spec.with_tau(tau), model, resolution)
             assert got == want / resolution ** (2 * n), (model, tau)
 
 
@@ -354,7 +356,7 @@ def test_estimate_many_equals_each_worker_alone(trials, monkeypatch):
     for i, w in enumerate(workers):
         for j, tau in enumerate(taus):
             forget_carry(monkeypatch)
-            alone = estimate_success_probability(w, spec, AVG, config, tau=tau)
+            alone = estimate_success_probability(w, spec if tau is None else spec.with_tau(tau), AVG, config)
             forget_carry(monkeypatch)
             assert many[i * len(taus) + j] == alone == estimate_many([w], spec, AVG, config, [tau])[0]
 
@@ -414,7 +416,7 @@ def test_truncated_normal_max_job_golden_values():
     # thresholds; truncated-normal noise keeps the column path.
     spec, _ = _max_case()
     worker = linear_worker(0.7, 0.7, 0.1, kind="trunc")
-    est = estimate_success_probability(worker, spec, MAX, SimConfig(trials=CHUNK_TRIALS + 1, seed=17), tau=0.45)
+    est = estimate_success_probability(worker, spec.with_tau(0.45), MAX, SimConfig(trials=CHUNK_TRIALS + 1, seed=17))
     assert [est.value.hex(), est.stderr.hex(), est.ci[0].hex(), est.ci[1].hex()] == [
         "0x1.0552faad05530p-1", "0x1.ffe2a695b1bbcp-10", "0x1.035d573ce95ebp-1", "0x1.07489e1d21475p-1"]
 
@@ -439,7 +441,7 @@ def test_level_errors_one_transform_equals_reference_bits(noise):
     before = [a.copy() for a in (u, beta, sel)]
     profiles = [
         constant_profile(0.6, noise),
-        linear_profile(0.3, noise, c=0.9),
+        AbilityProfile(LINEAR, (0.3, 0.9), noise),
         polynomial_profile(1.7, noise),
         piecewise_profile([(0.0, 1.0), (0.5, 0.7), (1.0, 0.2)], noise),
         select_profile(linear_profile(0.22, noise), constant_profile(0.7, truncnorm_noise(0.2)), 1.1),
@@ -726,14 +728,12 @@ def test_a_repeat_on_the_same_draws_evaluates_every_worker_on_carried_columns(mo
     estimate_many(workers, spec, AVG, config, [0.45, None])
     calls = _record_workers(monkeypatch)
     computed = _spy(monkeypatch, "_level_errors")
-    # ci_level is no part of the key.
-    repeat = SimConfig(trials=3000, seed=5, ci_level=0.9)
-    served = estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None])
+    served = estimate_many([workers[1], newcomer, workers[0]], spec, AVG, config, [None])
     # Every distinct worker is evaluated; only the newcomer's columns are computed.
     assert calls == [[workers[1], newcomer, workers[0]]]
     assert sorted((c, prof) for prof, _, _, c, *_ in computed) == [(0, newcomer.alpha1), (1, newcomer.alpha2)]
     forget_carry(monkeypatch)
-    assert _bits(served) == _bits(estimate_many([workers[1], newcomer, workers[0]], spec, AVG, repeat, [None]))
+    assert _bits(served) == _bits(estimate_many([workers[1], newcomer, workers[0]], spec, AVG, config, [None]))
 
 
 def test_threads_alternating_seeds_get_their_single_thread_results(monkeypatch):
@@ -909,15 +909,15 @@ def test_a_worker_served_from_the_counts_lends_its_columns(monkeypatch):
 # --- CRN ability sweeps by per-trial bisection --------------------------------
 
 
-def _bisected_equals_points(worker, spec, model, param, grid, config, monkeypatch, tau=None):
+def _bisected_equals_points(worker, spec, model, param, grid, config, monkeypatch):
     """The bisected sweep's estimates, checked equal to ``estimate_many`` on
     the grid workers, each call on fresh draws."""
     bisections = _spy(monkeypatch, "_bisected_counts")
     forget_carry(monkeypatch)
-    got = [pt.estimate for pt in sweep(worker, spec, model, param, grid, config, tau=tau)]
+    got = [pt.estimate for pt in sweep(worker, spec, model, param, grid, config)]
     assert len(bisections) == 1
     forget_carry(monkeypatch)
-    assert got == estimate_many([apply_knob(worker, param, v) for v in grid], spec, model, config, [tau])
+    assert got == estimate_many([apply_knob(worker, param, v) for v in grid], spec, model, config)
     return got
 
 
@@ -956,8 +956,8 @@ def test_bisected_sweep_grids_whose_ends_settle_every_trial(tau, top, values, mo
     # a2 = 1 leaves level 2 without error, so at tau = 0 a trial passes
     # only at a1 = 1 and fails on every trial below it; tau = 2 passes all.
     worker = linear_worker(0.5, 1.0, 0.4)
-    got = _bisected_equals_points(worker, tiny_spec(n=3), AVG, "a1", np.linspace(0.0, top, 9),
-                                  SimConfig(trials=2000, seed=43), monkeypatch, tau=tau)
+    got = _bisected_equals_points(worker, tiny_spec(n=3, tau=tau), AVG, "a1", np.linspace(0.0, top, 9),
+                                  SimConfig(trials=2000, seed=43), monkeypatch)
     assert sorted({got[0].value, got[-1].value}) == values
 
 
@@ -986,8 +986,8 @@ def test_bisected_sweep_every_model(h, g, f, monkeypatch):
     # tau at the median error of the mid-grid worker keeps the curve off 0 and 1.
     errs = np.concatenate([e for _, e in errors_by_chunk([apply_knob(worker, "a1", 0.5)], spec, model,
                                                          config.trials, config.seed, 0)])
-    got = _bisected_equals_points(worker, spec, model, "a1", np.linspace(0.0, 1.0, 17), config,
-                                  monkeypatch, tau=float(np.median(errs)))
+    got = _bisected_equals_points(worker, spec.with_tau(np.median(errs)), model, "a1", np.linspace(0.0, 1.0, 17),
+                                  config, monkeypatch)
     assert (got[0].value, got[-1].value) == (0.0, 1.0) and got[8].value >= 0.5
 
 
