@@ -9,6 +9,7 @@ per-skill weight vector (``effective_coefficients``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,13 @@ H_MAX = "max"
 AGG_AVERAGE = "average"
 AGG_WEIGHTED = "weighted"
 AGG_MAX = "max"
+
+
+def check_tau(tau: float) -> float:
+    """``tau`` as a float; a success threshold must be finite and >= 0."""
+    if not 0.0 <= tau < math.inf:
+        raise ParameterError(f"tau must be finite and >= 0, got {tau}")
+    return float(tau)
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,7 @@ class JobSpec:
         for name, arr in (("s1", self.s1), ("s2", self.s2), ("w", self.w), ("v", self.v)):
             if np.any((arr < 0.0) | (arr > 1.0)):
                 raise ParameterError(f"{name} entries must lie in [0,1]")
-        if not 0.0 <= self.tau:
-            raise ParameterError(f"tau must be >= 0, got {self.tau}")
+        check_tau(self.tau)
         for i, t in enumerate(self.tasks):
             if not t:
                 raise ParameterError(f"task {i + 1} depends on no skill")

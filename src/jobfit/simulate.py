@@ -95,12 +95,11 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import ability
 from .ability import AbilityProfile, NoiseModel, UNIFORM, _terms, _transform, mean_ability, quantile
 from .errors import CapacityError, ParameterError
-from .job import ErrorModel, JobSpec, effective_coefficients, make_error_evaluator
+from .job import ErrorModel, JobSpec, check_tau, effective_coefficients, make_error_evaluator
 
 CHUNK_TRIALS = 1 << 16
 # Trials per engine block.  Block boundaries stay multiples of 8 rows:
@@ -118,8 +117,9 @@ _THRESHOLD_TAUS = 3
 # Processes a call splits its blocks among; None means one per CPU of the
 # affinity mask.  The split changes no bit of any result.
 _PROCESSES: int | None = None
-# z of every two-sided 95 % confidence interval, ndtri(0.5 + 0.95 / 2).
-_Z = float(ndtri(0.975))
+# z of every two-sided 95 % confidence interval, ndtri(0.5 + 0.95 / 2),
+# as a literal so that no import of scipy.special is needed for it.
+_Z = float.fromhex("0x1.f5c0331eeff84p+0")
 
 
 @dataclass(frozen=True)
@@ -712,7 +712,7 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     workers = list(workers)
     if not workers:
         raise ParameterError("need at least one worker")
-    taus = [float(spec.tau if t is None else t) for t in ([None] if taus is None else taus)]
+    taus = [check_tau(spec.tau if t is None else t) for t in ([None] if taus is None else taus)]
     distinct, distinct_taus = list(dict.fromkeys(workers)), list(dict.fromkeys(taus))
     counts = sum(_run_shares("_count_share", _Draws(spec, model, config.seed, _tag, config.trials),
                              (distinct, distinct_taus))).tolist()

@@ -207,6 +207,20 @@ def test_sweep_heatmap_rejects_same_knob_twice(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axes, bad", [
+    (("--param", "tau", "--grid=-1:0:2"), "-1.0"),
+    (("--param", "a1", "--grid", "0:0.5:2", "--param2", "tau", "--grid2", "nan:0.5:2"), "nan"),
+])
+def test_sweep_rejects_a_tau_axis_outside_its_range(capsys, tmp_path, axes, bad):
+    # The tau axis goes through the same check as --tau: finite and >= 0.
+    for crn in ((), ("--no-crn",)):
+        out = tmp_path / "sweep.json"
+        code, stdout, err = run(capsys, "sweep", *axes, *crn, "--trials", "100", "--out", str(out))
+        assert code == 2 and not stdout
+        assert err.startswith("error: ") and f"tau must be finite and >= 0, got {bad}" in err
+        assert not out.exists()
+
+
 def test_divide_subcommand(capsys):
     code, stdout, _ = run(capsys, "divide", "--s", "0.7", "--decision-degree", "0.4")
     assert code == 0

@@ -30,6 +30,14 @@ def small_spec(tau=0.5):
     )
 
 
+@pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")])
+def test_tau_must_be_finite_and_nonnegative(tau):
+    with pytest.raises(ParameterError, match="tau must be finite and >= 0"):
+        small_spec(tau)
+    with pytest.raises(ParameterError, match="tau must be finite and >= 0"):
+        small_spec().with_tau(tau)
+
+
 def random_spec(rng, weighted=True):
     n = rng.integers(2, 8)
     m = rng.integers(1, 8)

@@ -147,6 +147,13 @@ def test_single_trial_estimate_valid():
     assert est.ci[0] <= est.value <= est.ci[1]
 
 
+def test_ci_z_is_the_975_normal_quantile():
+    # A literal, so that the engine never imports scipy.special for it.
+    from scipy.special import ndtri
+
+    assert simulate._Z.hex() == float(ndtri(0.975)).hex()
+
+
 def test_err_avg_balanced_example():
     # all difficulties 0.5, slopes 0.5: each subskill error averages 0.25
     n = 6
