@@ -66,8 +66,38 @@ uniform (its own u, or beta where sel < p) with its threshold: no
 transform, no job error and no evaluator call per trial, and every
 count equals the column path's bit for bit.  Truncated-normal leaves
 (``ndtri`` is not provably monotone), other models, ``estimate_err_avg``
-and bisected sweeps keep the column path.  The threshold path neither
-reads nor replaces the carry.
+and bisected sweeps do not take it.  The threshold path neither reads
+nor replaces the carry.
+
+``estimate_many`` counts a share with a truncated-normal leaf (sigma > 0)
+on the bracket path when the share holds at least :data:`_BRACKET_TRIALS`
+trials and the carry neither holds nor keeps any of the call's columns.
+Each level of each worker gets a table of its errors at the K + 1
+uniforms k/K (K = :data:`_BRACKET_CELLS`), from the unchanged
+``quantile``, which is elementwise, so select and piecewise profiles
+need nothing special.  A block picks each subskill's uniform q as the
+column path does and reads, at its cell k = floor(q*K), the errors at
+(k+1)/K and at k/K, padded outward by :data:`_BRACKET_PAD` (2**-30), as
+lower and upper bounds of its error.  Every (h, g, f) composition is
+monotone in each subskill error with non-negative weights, so the
+evaluator on the two bound matrices brackets each trial's job error: a
+trial whose upper bound is at most tau succeeds, one whose lower bound
+exceeds it fails, and only the trials some tau falls inside of (about
+1 % on the fixture human at p = 0.3) go through the transform.  They are
+written at their own rows of a block-shaped zeta array, so that one
+evaluation gives the column path's bits (BLAS results depend on a row's
+position).  The pad covers two departures from exact monotonicity.
+``ndtri`` is not monotone on the doubles: 4,330 of 20 M sampled pairs of
+neighbouring lattice uniforms step down, by at most 8.9e-16, and it departs from
+the exact normal quantile by at most 2.1e-14 (tails included; 9.6e-16
+relative).  A tier-1 test checks both against 10**-4 of the pad, with
+``statistics.NormalDist().inv_cdf`` as the exact quantile.  And the
+bounds are evaluated :data:`_BRACKET_ROWS_PER_PASS` rows at a time, so
+their sums may round in another order than the block's, by a few ulps.
+So every count equals the column path's, by a measured bound rather
+than a proof, as for the bisected sweep below.  The bracket path
+replaces the carry as the column path would; ``estimate_err_avg`` and
+bisected sweeps do not take it.
 
 CRN ability sweeps rest on monotone coupling (Glasserman & Yao 1992,
 "Some guidelines and guarantees for common random numbers", Management
@@ -97,7 +127,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ability
-from .ability import AbilityProfile, NoiseModel, UNIFORM, _terms, _transform, mean_ability, quantile
+from .ability import TRUNCNORM, UNIFORM, AbilityProfile, NoiseModel, _terms, _transform, mean_ability, quantile
 from .errors import CapacityError, ParameterError
 from .job import ErrorModel, JobSpec, check_tau, effective_coefficients, make_error_evaluator
 
@@ -114,6 +144,22 @@ _LATTICE = 1 << 53
 # max-balanced job (one process) four taus at p = 0.3 ran as slowly as
 # the column path, and 21 taus at p = 0 four times as slowly.
 _THRESHOLD_TAUS = 3
+# The bracket path's error tables hold each level's errors at the uniforms
+# k/K, k = 0..K, with K = _BRACKET_CELLS, and pad each cell's bounds
+# outward by _BRACKET_PAD (see the module docstring).
+_BRACKET_CELLS = 1 << 10
+_BRACKET_PAD = 2.0**-30
+# Fewest trials a share needs for the bracket path.  A lone fixture
+# estimate (one process) breaks even near 2k trials and runs 1.3x as fast
+# at 4k; at 16k a worker's tables cost 1/16 of the transforms they save,
+# and 10k-trial calls (the CLI's default, and the merge, phase and
+# compression calls that read most of their columns from the carry) keep
+# the column path.
+_BRACKET_TRIALS = 1 << 14
+# Rows whose bounds the bracket path gathers and evaluates at once: on the
+# fixture at p = 0.3, 512 ran as fast as 1,024 with half the buffers, and
+# 2,048 or whole blocks 1.5x as slowly.
+_BRACKET_ROWS_PER_PASS = 1 << 9
 # Processes a call splits its blocks among; None means one per CPU of the
 # affinity mask.  The split changes no bit of any result.
 _PROCESSES: int | None = None
@@ -361,14 +407,18 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
         del err
 
 
+def _chosen_leaves(workers: list[Worker], spec: JobSpec):
+    """Every leaf profile of the workers' levels that some difficulty chooses."""
+    return (leaf for w in workers for prof, s in ((w.alpha1, spec.s1), (w.alpha2, spec.s2))
+            for leaf, chosen in ability._select_sources(prof, s[None, :], True) if np.any(chosen))
+
+
 def _thresholds_apply(workers: list[Worker], spec: JobSpec, model: ErrorModel) -> bool:
     """Whether uniform thresholds decide every trial of ``workers``: the
     model is all-max, and every leaf profile that some difficulty chooses
     has uniform noise or none (``ndtri`` is not provably monotone)."""
-    return model.is_all_max and all(
-        leaf.noise.kind == UNIFORM or leaf.noise.sigma == 0.0
-        for w in workers for prof, s in ((w.alpha1, spec.s1), (w.alpha2, spec.s2))
-        for leaf, chosen in ability._select_sources(prof, s[None, :], True) if np.any(chosen))
+    return model.is_all_max and all(leaf.noise.kind == UNIFORM or leaf.noise.sigma == 0.0
+                                    for leaf in _chosen_leaves(workers, spec))
 
 
 def _uniform_thresholds(profile: AbilityProfile, s: np.ndarray, taus: list[float]) -> np.ndarray:
@@ -442,22 +492,122 @@ def _threshold_counts(draws: _Draws, workers: list[Worker], taus: list[float], b
     return counts
 
 
+def _error_tables(workers: list[Worker], spec: JobSpec) -> dict:
+    """The bracket path's (lo, hi) error tables of each worker's pair of
+    levels, each flat over (difficulty j, level, cell k): entry
+    ``(2j + level)*K + k`` bounds the level's error at difficulty j for
+    every uniform in cell k, [k/K, (k+1)/K), by the errors at the cell's
+    ends, padded outward by :data:`_BRACKET_PAD`."""
+    grid = np.arange(_BRACKET_CELLS + 1)[:, None] / _BRACKET_CELLS
+    levels = (spec.s1, spec.s2)
+    errs = {(col, prof): 1.0 - quantile(prof, levels[col][None, :], grid)
+            for w in workers for col, prof in enumerate((w.alpha1, w.alpha2))}
+    tables = {}
+    for pair in dict.fromkeys((w.alpha1, w.alpha2) for w in workers):
+        err = np.stack([errs[0, pair[0]], errs[1, pair[1]]], axis=-1).transpose(1, 2, 0)
+        tables[pair] = (err[..., 1:] - _BRACKET_PAD).ravel(), (err[..., :-1] + _BRACKET_PAD).ravel()
+    return tables
+
+
+def _bracket_cells(p: float, u, beta, sel, out, scratch) -> None:
+    """Write into ``out`` the table index of each of a sub-block's (rows,
+    n, 2) picked uniforms (its own u, or beta where sel < p): its cell
+    plus its (difficulty, level) offset.  ``scratch`` is an integer array
+    of ``out``'s shape."""
+    # q * K is exact and non-negative, so the cast floors it to the cell.
+    np.multiply(u, _BRACKET_CELLS, out=out, casting="unsafe")
+    if p > 0.0:  # picked in integers: a masked copy ran slower
+        np.subtract((beta * _BRACKET_CELLS).astype(np.intp)[:, None, None], out, out=scratch)
+        scratch *= sel < p
+        out += scratch
+    out += np.arange(out[0].size).reshape(out[0].shape) * _BRACKET_CELLS
+
+
+def _bracket_counts(draws: _Draws, workers: list[Worker], taus: list[float], blocks):
+    """Share of ``estimate_many`` on the bracket path (see the module
+    docstring): the (worker, tau) success counts of ``workers`` on
+    ``blocks``.  Each trial's job error is bracketed from the error tables
+    at its uniforms' cells, a sub-block at a time; only the trials that
+    some tau falls inside of go through the transform, at their own rows
+    of a block-shaped zeta array, and one evaluation of that array gives
+    their errors with the column path's bits."""
+    spec, n = draws.spec, draws.spec.n
+    tables = _error_tables(workers, spec)
+    evaluate = make_error_evaluator(spec, draws.model)
+    coupled = any(w.p > 0.0 for w in workers)
+    rows = max(b - a for *_, a, b in blocks)
+    out = _block_uniforms(n, rows)
+    # Rows that no trial has written read as errors of 0 until one does.
+    zetas = np.zeros((2, rows, n))
+    sub = (min(rows, _BRACKET_ROWS_PER_PASS), n, 2)
+    cells = {w.p: np.empty(sub, dtype=np.intp) for w in workers}
+    scratch, lo_zeta, hi_zeta = np.empty(sub, dtype=np.intp), np.empty(sub), np.empty(sub)
+    counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
+    for chunk, count, a, b in blocks:
+        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=coupled, rows=(a, b),
+                                       out=out)
+        lo, hi = np.empty((len(workers), b - a)), np.empty((len(workers), b - a))
+        for c in range(0, b - a, _BRACKET_ROWS_PER_PASS):
+            d = min(c + _BRACKET_ROWS_PER_PASS, b - a)
+            for p, cell in cells.items():
+                _bracket_cells(p, u[c:d], beta[c:d] if coupled else None, sel[c:d] if coupled else None,
+                               cell[:d - c], scratch[:d - c])
+            for i, w in enumerate(workers):
+                lo_table, hi_table = tables[w.alpha1, w.alpha2]
+                np.take(lo_table, cells[w.p][:d - c], out=lo_zeta[:d - c], mode="clip")
+                np.take(hi_table, cells[w.p][:d - c], out=hi_zeta[:d - c], mode="clip")
+                lo[i, c:d], hi[i, c:d] = evaluate(lo_zeta[:d - c]), evaluate(hi_zeta[:d - c])
+        zeta = zetas[:, :b - a].transpose(1, 2, 0)
+        for i, w in enumerate(workers):
+            inside = np.zeros(b - a, dtype=bool)
+            for t in taus:
+                inside |= (lo[i] <= t) & (hi[i] > t)
+            undecided = np.flatnonzero(inside)
+            if undecided.size:
+                for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
+                    q = _level_uniforms(w.p, col, u[undecided], beta[undecided] if coupled else None,
+                                        sel[undecided] if coupled else None)
+                    zetas[col, undecided] = 1.0 - quantile(prof, s[None, :], q)
+                hi[i, undecided] = evaluate(zeta)[undecided]
+            # hi now holds each trial's error where some tau fell inside its
+            # bracket, and decides every tau as that error would elsewhere.
+            for j, t in enumerate(taus):
+                counts[i, j] += np.count_nonzero(hi[i] <= t)
+    return counts
+
+
+def _brackets_apply(workers: list[Worker], spec: JobSpec, blocks) -> bool:
+    """Whether the bracket path may count a share: it holds at least
+    :data:`_BRACKET_TRIALS` trials and some chosen leaf has truncated-normal
+    noise (the one law whose transform costs more than a table lookup)."""
+    return sum(b - a for *_, a, b in blocks) >= _BRACKET_TRIALS and any(
+        leaf.noise.kind == TRUNCNORM and leaf.noise.sigma > 0.0 for leaf in _chosen_leaves(workers, spec))
+
+
 def _count_share(draws: _Draws, workers: list[Worker], taus: list[float], blocks, split):
     """Share of ``estimate_many``: the (worker, tau) success counts of
-    ``workers`` on ``blocks``, on the threshold path where it applies
-    (see the module docstring)."""
+    ``workers`` on ``blocks``, by one of three count paths (see the module
+    docstring).  The threshold path decides all-max trials of uniform or
+    zero noise from the uniforms, and neither reads nor replaces the
+    carry.  The bracket path decides trials from tabulated error bounds,
+    on a large share whose columns the carry neither holds nor keeps.  The
+    column path computes every level column, or reads it from the carry.
+    Both of the last two replace the carry alike."""
     used = _column_keys(workers)
     carry = _carry
     held = carry.key == draws.key() and carry.split == split and carry.columns.keys() >= used.keys()
     if not held and len(taus) <= _THRESHOLD_TAUS and _thresholds_apply(workers, draws.spec, draws.model):
         return _threshold_counts(draws, workers, taus, blocks)
     carried, keep = _share_columns(draws, split, used)
-    counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
-    for _, spans, err in _shared_draw_errors(workers, draws, blocks, carried, keep):
-        for a, b in spans:
-            for j, t in enumerate(taus):
-                counts[:, j] += np.count_nonzero(err[:, a:b] <= t, axis=1)
-        del err  # else it would stay alive through the next chunk
+    if not carried and not keep and _brackets_apply(workers, draws.spec, blocks):
+        counts = _bracket_counts(draws, workers, taus, blocks)
+    else:
+        counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
+        for _, spans, err in _shared_draw_errors(workers, draws, blocks, carried, keep):
+            for a, b in spans:
+                for j, t in enumerate(taus):
+                    counts[:, j] += np.count_nonzero(err[:, a:b] <= t, axis=1)
+            del err  # else it would stay alive through the next chunk
     _replace_carry(draws, split, used, {**carried, **keep})
     return counts
 
@@ -704,7 +854,8 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
     Each chunk is drawn once per call; equal workers are evaluated once
     and one error vector is counted against every tau (None means the
     job's own tau).  Level columns that the carry holds are read instead
-    of computed, and all-max calls may count by uniform thresholds
+    of computed; all-max calls may count by uniform thresholds, and
+    large calls with truncated-normal noise from tabulated error brackets
     instead (see the module docstring).  Each estimate equals a call
     with that worker and tau alone, bit for bit.
     """

@@ -25,7 +25,11 @@ simulate._PROCESSES = 2
 spec = balanced_job(6, 6, 2, np.linspace(0.1, 0.9, 6), np.linspace(0.2, 0.8, 6), 0.3)
 profile = ability.linear_profile(0.6, ability.uniform_noise(0.5))
 worker = simulate.Worker(profile, profile)
-trials = 2 * simulate.BLOCK_TRIALS
+# Large enough that each of the two shares passes the bracket path's size
+# gate, which only truncated-normal noise opens.
+trials = 2 * simulate._BRACKET_TRIALS + simulate.BLOCK_TRIALS
+blocks = simulate._call_blocks(trials)
+assert all(sum(b - a for *_, a, b in blocks[j::2]) >= simulate._BRACKET_TRIALS for j in (0, 1))
 simulate.estimate_success_probability(worker, spec, ErrorModel(), simulate.SimConfig(trials, seed=1))
 note("uniform linear estimate")
 peers = [process.pid for process, _ in simulate._peers.peers]
@@ -38,7 +42,7 @@ for pid in peers:
         pass
 all_max = ErrorModel(H_MAX, AGG_MAX, AGG_MAX)
 assert simulate._thresholds_apply([worker], spec, all_max)
-simulate.estimate_success_probability(worker, spec, all_max, simulate.SimConfig(trials, seed=2))
+simulate.estimate_success_probability(worker, spec, all_max, simulate.SimConfig(2 * simulate.BLOCK_TRIALS, seed=2))
 note("uniform all-max estimate")
 ability.truncnorm_noise(0.0)
 note("truncnorm_noise(0.0)")

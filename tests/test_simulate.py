@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -29,7 +30,7 @@ from jobfit.ability import (
 )
 from jobfit.dataio import AI_VARIANCE, load_fixture_job, named_worker
 from jobfit.errors import CapacityError, ParameterError
-from jobfit import simulate, theory
+from jobfit import ability, simulate, theory
 from jobfit.job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job, make_error_evaluator
 from jobfit.merging import evaluate_merge_gain, merge_per_subskill, merge_with_trust
 from jobfit.simulate import (
@@ -1121,6 +1122,145 @@ def test_all_max_calls_the_thresholds_do_not_decide_stay_on_the_column_path(monk
         forget_carry(monkeypatch)
         assert _counts(estimate_many(workers, spec, MAX, config, taus)) == _column_counts(workers, spec, config, taus)
     assert thresholds == []
+
+
+# --- counts from tabulated error brackets -------------------------------------
+
+
+def _bracket_case(seed):
+    """A job with random weights that may leave a skill uncovered, and
+    three workers, one per p in {0, 0.3, 1}, whose leaves mix
+    truncated-normal, uniform and zero noise, some behind nested select
+    profiles; the first worker's decision level is a truncated normal."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    reach = n - int(rng.integers(0, 2))
+    tasks = tuple(tuple(sorted(rng.choice(reach, size=int(rng.integers(1, reach + 1)), replace=False)))
+                  for _ in range(int(rng.integers(1, 4))))
+    spec = JobSpec(rng.uniform(size=n), rng.uniform(size=n), tasks, rng.uniform(0.1, 1.0, size=n),
+                   rng.uniform(0.1, 1.0, size=len(tasks)), 0.5)
+
+    def leaf(kind=None):
+        kind = kind or rng.choice(["trunc", "uniform", "zero"])
+        noise = {"trunc": truncnorm_noise(float(rng.uniform(0.05, 0.5))),
+                 "uniform": uniform_noise(float(rng.uniform(0.1, 1.0))), "zero": uniform_noise(0.0)}[kind]
+        return [constant_profile(float(rng.uniform(0.3, 1.0)), noise),
+                linear_profile(float(rng.uniform()), noise),
+                polynomial_profile(float(rng.uniform(0.3, 3.0)), noise),
+                piecewise_profile([(0.0, 1.0), (float(rng.uniform(0.2, 0.8)), 0.6), (1.0, 0.1)], noise),
+                ][int(rng.integers(4))]
+
+    def profile():
+        if rng.random() < 0.4:
+            inner = select_profile(leaf(), leaf(), float(rng.uniform(0.8, 1.2)))
+            return select_profile(inner, leaf(), float(rng.uniform(0.8, 1.2)))
+        return leaf()
+
+    ps = rng.permutation([0.0, 0.3, 1.0])
+    workers = [Worker(leaf("trunc"), profile(), float(ps[0]))]
+    workers += [Worker(profile(), profile(), float(p)) for p in ps[1:]]
+    return spec, workers
+
+
+def _fixture_bracket_case():
+    """The fixture human at p = 0.3, its per-subskill merge with an
+    assistant (piecewise envelope levels) at p = 1, and its trust-scaled
+    merge (select levels) at p = 0."""
+    spec, human = load_fixture_job(), named_worker("human")
+    noise = truncnorm_var(AI_VARIANCE / 2)
+    helper = Worker(linear_profile(0.1, noise), constant_profile(0.7, noise))
+    envelope, _ = merge_per_subskill(human, helper, spec)
+    trusted, _ = merge_with_trust(human, helper, spec, 1.4)
+    assert "piecewise" in (envelope.alpha1.family, envelope.alpha2.family)
+    assert "select" in (trusted.alpha1.family, trusted.alpha2.family)
+    return spec, [apply_knob(human, "p", 0.3), apply_knob(envelope, "p", 1.0), trusted]
+
+
+_BRACKET_CASES = {
+    "fixture": (_fixture_bracket_case, FIXTURE_MODEL),
+    "random-0-max-weighted-average": (lambda: _bracket_case(0), ErrorModel(h="max", g="weighted", f="average")),
+    "random-1-all-max": (lambda: _bracket_case(1), MAX),
+    "random-2-sum-max-weighted": (lambda: _bracket_case(2), ErrorModel(h="sum", g="max", f="weighted")),
+    "random-3-average": (lambda: _bracket_case(3), AVG),
+}
+
+
+@pytest.mark.parametrize("cells", [2, simulate._BRACKET_CELLS])
+@pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS + 1, CHUNK_TRIALS + 1])
+@pytest.mark.parametrize("case", list(_BRACKET_CASES))
+def test_bracket_counts_equal_the_column_path(case, trials, cells, own_peers, monkeypatch):
+    # Two cells leave most trials undecided.  The taus: the exact column-path
+    # error of one trial, one ulp below it, another worker's median error
+    # and the job's tau.  Patched before the peers fork, so they see it too.
+    make, model = _BRACKET_CASES[case]
+    spec, workers = make()
+    config = SimConfig(trials=trials, seed=trials + cells)
+    errs = [np.concatenate([e for i, e in errors_by_chunk(workers, spec, model, trials, config.seed, 0) if i == k])
+            for k in range(len(workers))]
+    attained = float(errs[0][trials // 3])
+    taus = [attained, float(np.nextafter(attained, -1.0)), float(np.median(errs[-1])), spec.tau]
+    want = [int(np.count_nonzero(e <= t)) for e in errs for t in taus]
+    monkeypatch.setattr(simulate, "_BRACKET_CELLS", cells)
+    monkeypatch.setattr(simulate, "_BRACKET_TRIALS", 1)
+    for processes in (1, 2):
+        _at(processes, monkeypatch)
+        brackets = _spy(monkeypatch, "_bracket_counts")
+        assert _counts(estimate_many(workers, spec, model, config, taus)) == want
+        assert len(brackets) == 1
+    assert 0 < sum(want) < len(want) * trials
+
+
+@pytest.mark.parametrize("case", ["fixture", "random-0-max-weighted-average"])
+def test_bracket_path_counts_every_trial_as_its_column_path_error(case, monkeypatch):
+    # Every trial's column-path error is a tau, so a trial whose bracket-path
+    # error differs from it, by even an ulp, changes a count.  Two cells
+    # leave almost every trial undecided.
+    make, model = _BRACKET_CASES[case]
+    spec, workers = make()
+    config = SimConfig(trials=BLOCK_TRIALS - 1, seed=7)
+    errs = [e for _, e in errors_by_chunk(workers, spec, model, config.trials, config.seed, 0)]
+    taus = sorted({float(t) for e in errs for t in e})
+    want = [int(c) for e in errs for c in np.searchsorted(np.sort(e), taus, side="right")]
+    monkeypatch.setattr(simulate, "_BRACKET_CELLS", 2)
+    monkeypatch.setattr(simulate, "_BRACKET_TRIALS", 1)
+    _at(1, monkeypatch)
+    brackets = _spy(monkeypatch, "_bracket_counts")
+    assert _counts(estimate_many(workers, spec, model, config, taus)) == want
+    assert len(brackets) == 1
+
+
+def test_bracket_path_transforms_only_its_tables_and_the_undecided_trials(monkeypatch):
+    # A 200k-trial fixture estimate at p = 0.3 in one process: ndtri runs on
+    # both levels' tables and on under 5 % of the trials' subskills.
+    spec, human = load_fixture_job(), named_worker("human", p=0.3)
+    trials = 200_000
+    _at(1, monkeypatch)
+    transformed = []
+    original = ability.ndtri
+
+    def counting(x, out=None):
+        transformed.append(np.size(x))
+        return original(x, out=out)
+
+    monkeypatch.setattr(ability, "ndtri", counting)
+    brackets = _spy(monkeypatch, "_bracket_counts")
+    estimate_success_probability(human, spec, FIXTURE_MODEL, SimConfig(trials=trials, seed=3))
+    tables = 2 * (simulate._BRACKET_CELLS + 1) * spec.n
+    assert len(brackets) == 1
+    assert tables < sum(transformed) < tables + 0.05 * trials * 2 * spec.n
+
+
+def test_ndtri_departs_from_a_monotone_curve_far_less_than_the_bracket_pad():
+    # The pad must cover ndtri's departure from the exact (monotone) normal
+    # quantile, tails included, and every step down between neighbours.
+    margin = simulate._BRACKET_PAD * 1e-4
+    x = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 20_001), np.logspace(-300, -1, 5_000),
+                        1.0 - np.logspace(-16, -1, 5_000)])
+    exact = np.array([statistics.NormalDist().inv_cdf(float(v)) for v in x])
+    assert np.max(np.abs(ability.ndtri(x) - exact)) <= margin
+    assert np.max(ability.ndtri(x) - ability.ndtri(np.nextafter(x, 1.0))) <= margin
+    k = np.random.default_rng(0).integers(0, (1 << 53) - 1, size=1 << 20)
+    assert np.max(ability.ndtri(k * 2.0**-53) - ability.ndtri((k + 1) * 2.0**-53)) <= margin
 
 
 # --- blocks split among processes ---------------------------------------------
