@@ -21,14 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, ability, dataio, merging, theory
-from .ability import linear_profile, constant_profile, polynomial_profile, NoiseModel
+from .ability import linear_profile, constant_profile, NoiseModel
 from .errors import JobFitError, NumericalError, ParameterError, ValidationError
 from .job import FIXTURE_MODEL, ErrorModel, JobSpec, balanced_job
 from .simulate import (
+    ABILITY_KNOBS,
     SimConfig,
     Worker,
     apply_knob,
-    estimate_many,
+    estimate_cases,
     estimate_success_probability,
     sweep,
 )
@@ -85,12 +86,12 @@ def _add_worker(p: argparse.ArgumentParser, prefix: str = "", default_preset: st
                        help=f"constant ability for level {level}")
         p.add_argument(f"{d}beta{level}", type=float, default=None,
                        help=f"polynomial exponent for level {level}")
-        p.add_argument(f"{d}sigma{level}", type=float, default=None)
         p.add_argument(f"{d}var{level}", type=float, default=None,
-                       help=f"noise variance alternative to sigma{level}")
+                       help=f"noise variance (sigma squared) for level {level}")
     p.add_argument(f"{d}noise", choices=("uniform", "trunc"), default=None,
                    help="noise kind (default uniform)")
-    p.add_argument(f"{d}sigma", type=float, default=None, help="noise level for both levels")
+    p.add_argument(f"{d}sigma", type=float, default=None,
+                   help="noise level for both levels (default 0.1), unless --var1/--var2 sets one")
     p.add_argument(f"{d}p", type=float, default=0.0, help="dependency parameter")
 
 
@@ -101,53 +102,36 @@ def _get(args, prefix: str, name: str):
 def _noise(args, prefix: str, level: int) -> NoiseModel:
     kind = ability.TRUNCNORM if _get(args, prefix, "noise") == "trunc" else ability.UNIFORM
     var = _get(args, prefix, f"var{level}")
-    sigma = _get(args, prefix, f"sigma{level}")
-    if var is not None and sigma is not None:
-        raise ParameterError(f"give either sigma{level} or var{level}, not both")
-    if var is not None:
-        if not var >= 0.0:
-            raise ParameterError(f"--{prefix.replace('_', '-')}var{level} must be >= 0, got {var}")
-        sigma = math.sqrt(var)
-    if sigma is None:
+    if var is None:
         sigma = _get(args, prefix, "sigma")
-    if sigma is None:
-        sigma = 0.1
-    return NoiseModel(kind, float(sigma))
+        return NoiseModel(kind, 0.1 if sigma is None else float(sigma))
+    if not var >= 0.0:
+        raise ParameterError(f"--{prefix.replace('_', '-')}var{level} must be >= 0, got {var}")
+    return NoiseModel(kind, math.sqrt(var))
 
 
 def _resolve_worker(args, prefix: str = "") -> Worker:
-    explicit = any(
-        _get(args, prefix, f"{knob}{level}") is not None
-        for level in (1, 2) for knob in ("a", "c", "beta")
-    )
+    knobs = [{stem: _get(args, prefix, f"{stem}{level}") for stem in ABILITY_KNOBS} for level in (1, 2)]
     p = float(_get(args, prefix, "p"))
-    if not explicit:
+    if all(value is None for values in knobs for value in values.values()):
         preset = _get(args, prefix, "worker")
         if preset is None:
             raise ParameterError("no worker given: use a preset or explicit profile flags")
         d = "--" + prefix.replace("_", "-")
-        given = [d + name for name in ("noise", "sigma", "sigma1", "sigma2", "var1", "var2")
-                 if _get(args, prefix, name) is not None]
+        given = [d + name for name in ("noise", "sigma", "var1", "var2") if _get(args, prefix, name) is not None]
         if given:
             raise ParameterError(f"{', '.join(given)} set the noise of explicit profiles only "
                                  f"({d}a1/c1/beta1 and {d}a2/c2/beta2); preset {preset!r} has its own")
         return _preset(args, preset, p)
     profiles = []
-    for level in (1, 2):
+    for level, values in enumerate(knobs, 1):
         noise = _noise(args, prefix, level)
-        a = _get(args, prefix, f"a{level}")
-        c = _get(args, prefix, f"c{level}")
-        beta = _get(args, prefix, f"beta{level}")
-        if sum(v is not None for v in (a, c, beta)) != 1:
-            raise ParameterError(
-                f"level {level}: give exactly one of a{level}, c{level}, beta{level}"
-            )
-        if a is not None:
-            profiles.append(linear_profile(a, noise))
-        elif c is not None:
-            profiles.append(constant_profile(c, noise))
-        else:
-            profiles.append(polynomial_profile(beta, noise))
+        chosen = [(stem, value) for stem, value in values.items() if value is not None]
+        if len(chosen) != 1:
+            names = ", ".join(f"{stem}{level}" for stem in values)
+            raise ParameterError(f"level {level}: give exactly one of {names}")
+        (stem, value), = chosen
+        profiles.append(ABILITY_KNOBS[stem][1](value, noise))
     return Worker(profiles[0], profiles[1], p)
 
 
@@ -320,27 +304,20 @@ def _cmd_sweep(args, argv) -> None:
 
 
 def _heatmap(worker, spec, model, param1, grid1, param2, grid2, config, crn) -> list[float]:
-    """P on the grid1 x grid2 map, row-major.  Under CRN one ``estimate_many``
-    call covers the whole map (the tau axis as its taus), so each chunk is
-    drawn once; without CRN row-major cell k draws its own stream, tag 1 + k
-    (row 0 keeps the tags of a 1-D ``sweep``)."""
-    if not crn:
-        values = []
-        for v1 in grid1:
-            w1 = worker if param1 == "tau" else apply_knob(worker, param1, v1)
-            for v2 in grid2:
-                w, tau = (w1, v2) if param2 == "tau" else (apply_knob(w1, param2, v2), v1 if param1 == "tau" else None)
-                values.append(estimate_many([w], spec, model, config, [tau], 1 + len(values))[0].value)
-        return values
-    if param1 == "tau":
-        ests = estimate_many([apply_knob(worker, param2, v) for v in grid2], spec, model, config, grid1)
-        return [ests[j * len(grid1) + i].value for i in range(len(grid1)) for j in range(len(grid2))]
-    if param2 == "tau":
-        ests = estimate_many([apply_knob(worker, param1, v) for v in grid1], spec, model, config, grid2)
-    else:
-        ests = estimate_many([apply_knob(apply_knob(worker, param1, v1), param2, v2)
-                              for v1 in grid1 for v2 in grid2], spec, model, config)
-    return [est.value for est in ests]
+    """P on the grid1 x grid2 map, row-major, by ``estimate_cases``: under
+    CRN one call covers the whole map; without it row-major cell k draws
+    tag 1 + k (row 0 keeps the tags of a 1-D ``sweep``)."""
+    def case(v1, v2):
+        w, tau = worker, None
+        for name, v in ((param1, v1), (param2, v2)):
+            if name == "tau":
+                tau = v
+            else:
+                w = apply_knob(w, name, v)
+        return w, tau
+
+    cases = [case(v1, v2) for v1 in grid1 for v2 in grid2]
+    return [est.value for est in estimate_cases(cases, spec, model, config, crn)]
 
 
 def _cmd_phase(args, argv) -> None:
@@ -536,8 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divide", help="split a skill difficulty into subskill difficulties")
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--decision-degree", "--lambda", dest="decision_degree",
-                   type=float, required=True)
+    p.add_argument("--decision-degree", type=float, required=True)
     p.add_argument("--psi", default="identity", choices=sorted(dataio.PSI_CHOICES))
     p.add_argument("--out", default=None, help="write report/table to this path")
     p.set_defaults(run=_cmd_divide)

@@ -51,14 +51,13 @@ With h = g = f = max a trial succeeds iff every covered subskill error
 is at most tau.  ``estimate_many`` then counts successes from the
 uniforms alone (the threshold path) when every leaf profile that some
 difficulty chooses has uniform noise or none and the call counts at most
-:data:`_THRESHOLD_TAUS` distinct taus, unless the carry holds all of the
-call's columns already (reading them is cheaper than drawing).
-Every uniform is k * 2**-53 for an integer 0 <= k < 2**53.  The
-transform ``e + half*(2q - 1)``, its clip and the error ``1 - x`` are
-chains of correctly rounded operations, each monotone in q (Goldberg
-1991, "What every computer scientist should know about floating-point
-arithmetic"), so a subskill's success at tau is monotone on that
-lattice: the monotone-coupling argument below, made exact per subskill.
+:data:`_THRESHOLD_TAUS` distinct taus.  Every uniform is k * 2**-53 for
+an integer 0 <= k < 2**53.  The transform ``e + half*(2q - 1)``, its
+clip and the error ``1 - x`` are chains of correctly rounded operations,
+each monotone in q (Goldberg 1991, "What every computer scientist should
+know about floating-point arithmetic"), so a subskill's success at tau
+is monotone on that lattice: the monotone-coupling argument below, made
+exact per subskill.
 Each (worker, level, tau, difficulty) gets the least k that passes, or
 2**53 when none does, certified with the unchanged transform (k passes
 and k - 1 fails).  A block compares each covered subskill's picked
@@ -70,7 +69,7 @@ and bisected sweeps do not take it.  The threshold path neither reads
 nor replaces the carry.
 
 ``estimate_many`` counts a share with a truncated-normal leaf (sigma > 0)
-on the bracket path when the share holds at least :data:`_BRACKET_TRIALS`
+on the bracket path when the call has at least :data:`_BRACKET_TRIALS`
 trials and the carry neither holds nor keeps any of the call's columns.
 Each level of each worker gets a table of its errors at the K + 1
 uniforms k/K (K = :data:`_BRACKET_CELLS`), from the unchanged
@@ -93,9 +92,14 @@ the exact normal quantile by at most 2.1e-14 (tails included; 9.6e-16
 relative).  A tier-1 test checks both against 10**-4 of the pad, with
 ``statistics.NormalDist().inv_cdf`` as the exact quantile.  And the
 bounds are evaluated :data:`_BRACKET_ROWS_PER_PASS` rows at a time, so
-their sums may round in another order than the block's, by a few ulps.
-So every count equals the column path's, by a measured bound rather
-than a proof, as for the bisected sweep below.  The bracket path
+their sums may round in another order than the block's.  That part is
+proved: in any order, a sum S of n terms c_j z_j rounds to within
+gamma_n * sum |c_j z_j| of its exact value, gamma_n = n u / (1 - n u)
+with u = 2**-53 (Higham 2002, "Accuracy and Stability of Numerical
+Algorithms", 2nd ed., ch. 4; a max rounds nothing), about 4e-15 of the
+sum at n = 36 (the fixture's subskills) against the 2**-30 pad.  So
+every count equals the column path's, with only ``ndtri``'s part of the
+pad resting on measurement rather than proof.  The bracket path
 replaces the carry as the column path would; ``estimate_err_avg`` and
 bisected sweeps do not take it.
 
@@ -149,12 +153,13 @@ _THRESHOLD_TAUS = 3
 # outward by _BRACKET_PAD (see the module docstring).
 _BRACKET_CELLS = 1 << 10
 _BRACKET_PAD = 2.0**-30
-# Fewest trials a share needs for the bracket path.  A lone fixture
+# Fewest trials a call needs for the bracket path.  A lone fixture
 # estimate (one process) breaks even near 2k trials and runs 1.3x as fast
 # at 4k; at 16k a worker's tables cost 1/16 of the transforms they save,
 # and 10k-trial calls (the CLI's default, and the merge, phase and
 # compression calls that read most of their columns from the carry) keep
-# the column path.
+# the column path.  The gate reads the call's trials, not a share's, so a
+# call takes the same path whatever the number of processes.
 _BRACKET_TRIALS = 1 << 14
 # Rows whose bounds the bracket path gathers and evaluates at once: on the
 # fixture at p = 0.3, 512 ran as fast as 1,024 with half the buffers, and
@@ -576,12 +581,13 @@ def _bracket_counts(draws: _Draws, workers: list[Worker], taus: list[float], blo
     return counts
 
 
-def _brackets_apply(workers: list[Worker], spec: JobSpec, blocks) -> bool:
-    """Whether the bracket path may count a share: it holds at least
-    :data:`_BRACKET_TRIALS` trials and some chosen leaf has truncated-normal
-    noise (the one law whose transform costs more than a table lookup)."""
-    return sum(b - a for *_, a, b in blocks) >= _BRACKET_TRIALS and any(
-        leaf.noise.kind == TRUNCNORM and leaf.noise.sigma > 0.0 for leaf in _chosen_leaves(workers, spec))
+def _brackets_apply(workers: list[Worker], draws: _Draws) -> bool:
+    """Whether the bracket path may count a share of a call on ``draws``:
+    the call has at least :data:`_BRACKET_TRIALS` trials and some chosen
+    leaf has truncated-normal noise (the one law whose transform costs more
+    than a table lookup)."""
+    return draws.trials >= _BRACKET_TRIALS and any(
+        leaf.noise.kind == TRUNCNORM and leaf.noise.sigma > 0.0 for leaf in _chosen_leaves(workers, draws.spec))
 
 
 def _count_share(draws: _Draws, workers: list[Worker], taus: list[float], blocks, split):
@@ -590,16 +596,14 @@ def _count_share(draws: _Draws, workers: list[Worker], taus: list[float], blocks
     docstring).  The threshold path decides all-max trials of uniform or
     zero noise from the uniforms, and neither reads nor replaces the
     carry.  The bracket path decides trials from tabulated error bounds,
-    on a large share whose columns the carry neither holds nor keeps.  The
+    in a large call whose columns the carry neither holds nor keeps.  The
     column path computes every level column, or reads it from the carry.
     Both of the last two replace the carry alike."""
-    used = _column_keys(workers)
-    carry = _carry
-    held = carry.key == draws.key() and carry.split == split and carry.columns.keys() >= used.keys()
-    if not held and len(taus) <= _THRESHOLD_TAUS and _thresholds_apply(workers, draws.spec, draws.model):
+    if len(taus) <= _THRESHOLD_TAUS and _thresholds_apply(workers, draws.spec, draws.model):
         return _threshold_counts(draws, workers, taus, blocks)
+    used = _column_keys(workers)
     carried, keep = _share_columns(draws, split, used)
-    if not carried and not keep and _brackets_apply(workers, draws.spec, blocks):
+    if not carried and not keep and _brackets_apply(workers, draws):
         counts = _bracket_counts(draws, workers, taus, blocks)
     else:
         counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
@@ -935,24 +939,24 @@ def estimate_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel,
 
 # --- parameter knobs -------------------------------------------------------
 
-KNOBS = ("a1", "a2", "c1", "c2", "beta1", "beta2", "sigma", "sigma1", "sigma2", "p", "tau")
+# Each ability knob's stem (a1 and a2 share "a"): the base family whose
+# first parameter it sets, and that family's profile builder.
+ABILITY_KNOBS = {"a": (ability.LINEAR, ability.linear_profile),
+                 "c": (ability.CONSTANT, ability.constant_profile),
+                 "beta": (ability.POLYNOMIAL, ability.polynomial_profile)}
+KNOBS = (*(stem + level for stem in ABILITY_KNOBS for level in "12"), "sigma", "sigma1", "sigma2", "p", "tau")
 
 
-def _set_family_param(profile: AbilityProfile, value: float, expect: str) -> AbilityProfile:
-    if profile.family != expect:
-        raise ParameterError(f"knob needs a {expect} profile, worker has {profile.family}")
-    if expect == ability.LINEAR:
-        return replace(profile, params=(float(value), profile.params[1]))
-    return replace(profile, params=(float(value),))
+def _set_ability(profile: AbilityProfile, value: float, family: str) -> AbilityProfile:
+    if profile.family != family:
+        raise ParameterError(f"knob needs a {family} profile, worker has {profile.family}")
+    return replace(profile, params=(float(value), *profile.params[1:]))
 
 
 def _set_sigma(profile: AbilityProfile, value: float) -> AbilityProfile:
     if profile.family == ability.SELECT:
         raise ParameterError("cannot retune noise of a merged profile")
     return replace(profile, noise=NoiseModel(profile.noise.kind, float(value)))
-
-
-_KNOB_FAMILIES = {"a": ability.LINEAR, "c": ability.CONSTANT, "beta": ability.POLYNOMIAL}
 
 
 def apply_knob(worker: Worker, name: str, value: float) -> Worker:
@@ -963,11 +967,11 @@ def apply_knob(worker: Worker, name: str, value: float) -> Worker:
         return replace(worker, alpha1=_set_sigma(worker.alpha1, value),
                        alpha2=_set_sigma(worker.alpha2, value))
     stem, level = name[:-1], name[-1:]
-    if level not in ("1", "2") or (stem != "sigma" and stem not in _KNOB_FAMILIES):
+    if level not in ("1", "2") or (stem != "sigma" and stem not in ABILITY_KNOBS):
         raise ParameterError(f"unknown parameter knob {name!r} (choose from {KNOBS})")
     attr = f"alpha{level}"
     prof = getattr(worker, attr)
-    new = _set_sigma(prof, value) if stem == "sigma" else _set_family_param(prof, value, _KNOB_FAMILIES[stem])
+    new = _set_sigma(prof, value) if stem == "sigma" else _set_ability(prof, value, ABILITY_KNOBS[stem][0])
     return replace(worker, **{attr: new})
 
 
@@ -999,6 +1003,22 @@ def _bisected_sweep(worker: Worker, col: int, grid: list[float], workers: list[W
     return [_binomial_estimate(count_at[v], config.trials, config.seed) for v in grid]
 
 
+def estimate_cases(cases: list[tuple[Worker, float | None]], spec: JobSpec, model: ErrorModel,
+                   config: SimConfig | None, crn: bool) -> list[SimEstimate]:
+    """P of each ``(worker, tau)`` case, tau None meaning the job's own.
+
+    With ``crn`` one :func:`estimate_many` call counts the distinct
+    workers against the distinct taus, so every case sees the same draws;
+    without it case k runs alone on stream tag 1 + k.  Each estimate
+    equals its case alone on its tag, bit for bit."""
+    if not crn:
+        return [estimate_many([w], spec, model, config, [t], 1 + k)[0] for k, (w, t) in enumerate(cases)]
+    workers, taus = list(dict.fromkeys(w for w, _ in cases)), list(dict.fromkeys(t for _, t in cases))
+    ests = iter(estimate_many(workers, spec, model, config, taus))
+    by_case = {(w, t): next(ests) for w in workers for t in taus}
+    return [by_case[case] for case in cases]
+
+
 def sweep(
     worker,
     spec: JobSpec,
@@ -1022,7 +1042,9 @@ def sweep(
     by construction and costs ceil(log2(K + 1)) evaluations per trial for
     K values, not K.  Its counts equal those of ``estimate_many`` on the
     grid workers by test, not by proof; it neither reads nor replaces the
-    carry.  Factories, sigma, p and tau sweeps run ``estimate_many``.
+    carry.  Every other sweep (factories, sigma, p and tau, and any sweep
+    without CRN) is a grid of ``(worker, tau)`` cases that goes through
+    :func:`estimate_cases`, as the CLI's heatmaps do.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -1034,14 +1056,10 @@ def sweep(
     else:
         factory = _worker_factory(worker, param)
         cases = [(factory(value), None) for value in grid]
-    if not crn:
-        ests = [estimate_many([w], spec, model, config, [t], 1 + i)[0] for i, (w, t) in enumerate(cases)]
-    elif param == "tau":
-        ests = estimate_many([worker], spec, model, config, grid)
-    elif param[:-1] in _KNOB_FAMILIES and not callable(worker):
+    if crn and param[:-1] in ABILITY_KNOBS and not callable(worker):
         ests = _bisected_sweep(worker, int(param[-1]) - 1, grid, [w for w, _ in cases], spec, model, config)
     else:
-        ests = estimate_many([w for w, _ in cases], spec, model, config)
+        ests = estimate_cases(cases, spec, model, config, crn)
     return [SweepPoint(param, value, est) for value, est in zip(grid, ests)]
 
 

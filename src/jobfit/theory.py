@@ -29,6 +29,7 @@ from .errors import (
 )
 from .job import ErrorModel, JobSpec, effective_coefficients, lipschitz_bound
 from .simulate import (
+    ABILITY_KNOBS,
     SimConfig,
     SimEstimate,
     Worker,
@@ -44,7 +45,7 @@ APPENDIX_GENERAL = "appendix-general"
 # The polynomial exponents over which min_derivative takes its infimum.
 POLY_DOMAIN = (0.5, 2.0)
 
-_FAMILY_KNOB = {ability.LINEAR: "a", ability.CONSTANT: "c", ability.POLYNOMIAL: "beta"}
+_FAMILY_KNOB = {family: stem for stem, (family, _) in ABILITY_KNOBS.items()}
 _PARAM_BRACKET = {ability.LINEAR: (0.0, 1.0), ability.CONSTANT: (0.0, 1.0),
                   ability.POLYNOMIAL: (0.0, 8.0)}
 

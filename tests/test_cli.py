@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from jobfit.simulate import SimConfig, Worker, apply_knob, estimate_many, estima
 from jobfit.theory import compression_bound
 
 JOB_FLAGS = "--job --no-divide --psi --h --g --f --tau --seed --trials --out"
-WORKER_FLAGS = "--worker --a1 --c1 --beta1 --sigma1 --var1 --a2 --c2 --beta2 --sigma2 --var2 --noise --sigma --p"
+WORKER_FLAGS = "--worker --a1 --c1 --beta1 --var1 --a2 --c2 --beta2 --var2 --noise --sigma --p"
 CLI_OPTIONS = {
     "estimate": f"{JOB_FLAGS} {WORKER_FLAGS}",
     "sweep": f"{JOB_FLAGS} {WORKER_FLAGS} --param --grid --param2 --grid2 --format --no-crn",
@@ -22,7 +24,7 @@ CLI_OPTIONS = {
     "merge": f"{JOB_FLAGS} {WORKER_FLAGS} {WORKER_FLAGS.replace('--', '--b-')} --strategy --pick --trust",
     "compress": f"{JOB_FLAGS} --a-low --a-high --ai-a --ai-c --theta",
     "bias": f"{JOB_FLAGS} --beta --qualify-p --reject-p --curve-grid",
-    "divide": "--s --decision-degree/--lambda --psi --out",
+    "divide": "--s --decision-degree --psi --out",
     "fit": "--table --out",
     "rerun": "",
 }
@@ -88,8 +90,7 @@ def test_bad_seed_and_balanced_descriptor_exit_2(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--sigma", "-1"), ("--noise", "uniform", "--sigma", "2"),
-                                   ("--noise", "trunc"), ("--sigma1", "0.2"), ("--sigma2", "0.2"),
-                                   ("--var1", "0.01"), ("--var2", "0.01")])
+                                   ("--noise", "trunc"), ("--var1", "0.01"), ("--var2", "0.01")])
 def test_preset_rejects_noise_flags(capsys, flags):
     # A preset fixes its own noise; a noise flag beside it used to be ignored.
     code, stdout, err = run(capsys, "estimate", "--worker", "human", "--trials", "10", *flags)
@@ -272,21 +273,50 @@ def test_bias_and_compress_no_divide_take_the_skill_level_presets(capsys, tmp_pa
 
 
 def test_cli_surface_is_pinned():
-    """Each subcommand takes only the options its handler reads: 157 in all."""
+    """Each subcommand takes only the options its handler reads: 147 in all."""
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     surface = {name: " ".join("/".join(a.option_strings) for a in p._actions
                               if a.option_strings and not isinstance(a, argparse._HelpAction))
                for name, p in sub.choices.items()}
     assert surface == CLI_OPTIONS
-    assert sum(len(flags.split()) for flags in surface.values()) == 157
+    assert sum(len(flags.split()) for flags in surface.values()) == 147
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``jobfit`` command in README's shell code blocks,
+    with ``\\`` continuations joined and ``#`` comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```(?:sh|bash|shell)?\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["jobfit"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_every_readme_command_parses(capsys):
+    # A flag the parser dropped must not stay in the docs.
+    commands, refused = _readme_commands(), []
+    assert len(commands) > 10
+    for argv in commands:
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(" ".join(argv))
+    assert refused == [], capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [("divide", "--s", "0.7", "--decision-degree", "0.4", "--trials", "5"),
                                   ("fit", "--seed", "1"),
                                   ("estimate", "--format", "csv"),
                                   ("sweep", "--param", "a1", "--grid", "0:1:2", "--crn"),
-                                  ("bias", "--curve-trials", "2000")],
-                         ids=["divide-trials", "fit-seed", "estimate-format", "sweep-crn", "bias-curve-trials"])
+                                  ("bias", "--curve-trials", "2000"),
+                                  ("estimate", "--a1", "0.5", "--a2", "0.5", "--sigma1", "0.2"),
+                                  ("merge", "--b-a1", "0.5", "--b-a2", "0.5", "--b-sigma2", "0.2"),
+                                  ("divide", "--s", "0.7", "--decision-degree", "0.4", "--lambda", "0.4")],
+                         ids=["divide-trials", "fit-seed", "estimate-format", "sweep-crn", "bias-curve-trials",
+                              "sigma1", "b-sigma2", "lambda"])
 def test_removed_flags_exit_2(capsys, argv):
     flag = next(a for a in reversed(argv) if a.startswith("--"))
     with pytest.raises(SystemExit) as exc:

@@ -25,11 +25,10 @@ simulate._PROCESSES = 2
 spec = balanced_job(6, 6, 2, np.linspace(0.1, 0.9, 6), np.linspace(0.2, 0.8, 6), 0.3)
 profile = ability.linear_profile(0.6, ability.uniform_noise(0.5))
 worker = simulate.Worker(profile, profile)
-# Large enough that each of the two shares passes the bracket path's size
-# gate, which only truncated-normal noise opens.
+# Large enough to pass the bracket path's size gate on the call's trials,
+# a gate that only truncated-normal noise opens, and to split in two shares.
 trials = 2 * simulate._BRACKET_TRIALS + simulate.BLOCK_TRIALS
-blocks = simulate._call_blocks(trials)
-assert all(sum(b - a for *_, a, b in blocks[j::2]) >= simulate._BRACKET_TRIALS for j in (0, 1))
+assert trials >= simulate._BRACKET_TRIALS and len(simulate._call_blocks(trials)) > 1
 simulate.estimate_success_probability(worker, spec, ErrorModel(), simulate.SimConfig(trials, seed=1))
 note("uniform linear estimate")
 peers = [process.pid for process, _ in simulate._peers.peers]

@@ -46,6 +46,7 @@ from jobfit.simulate import (
     _shared_draw_errors,
     apply_knob,
     brute_force_success_probability,
+    estimate_cases,
     estimate_err_avg,
     estimate_many,
     estimate_success_probability,
@@ -369,6 +370,30 @@ def test_estimate_many_equals_each_worker_alone(trials, monkeypatch):
             assert many[i * len(taus) + j] == alone == estimate_many([w], spec, AVG, config, [tau])[0]
 
 
+@pytest.mark.parametrize("crn", [True, False])
+def test_estimate_cases_equal_each_case_alone(crn, monkeypatch):
+    # Repeated workers, and tau None beside the job's own tau as a float.
+    # Under CRN one estimate_many call counts the distinct workers against
+    # the distinct taus; without it case k runs alone on tag 1 + k.
+    spec, (w0, w1), config = _carry_case()
+    spec = spec.with_tau(0.3)
+    cases = [(w0, None), (w1, 0.28), (w0, spec.tau), (w1, None), (w0, 0.28), (w0, None)]
+    forget_carry(monkeypatch)
+    calls = _spy(monkeypatch, "estimate_many")
+    got = estimate_cases(cases, spec, AVG, config, crn)
+    if crn:
+        assert [call[0] for call in calls] == [[w0, w1]] and calls[0][4] == [None, 0.28, spec.tau]
+    else:
+        assert len(calls) == len(cases)
+    monkeypatch.undo()
+    alone = []
+    for k, (w, tau) in enumerate(cases):
+        forget_carry(monkeypatch)
+        alone += estimate_many([w], spec, AVG, config, [tau], 0 if crn else 1 + k)
+    assert _bits(got) == _bits(alone)
+    assert len({e.value for e in got}) == (4 if crn else 6)
+
+
 def test_selector_skip_keeps_earlier_variates():
     u, beta, sel = _chunk_uniforms(5, 2, 1, 1000, 4)
     u0, beta0, sel0 = _chunk_uniforms(5, 2, 1, 1000, 4, coupled=False)
@@ -686,7 +711,8 @@ _CHANGES = {
     "trials": lambda spec: {"config": SimConfig(trials=3001, seed=5)},
     "tag": lambda spec: {"_tag": 1},
     "job": lambda spec: {"spec": JobSpec(spec.s1, spec.s2[::-1], spec.tasks, spec.w, spec.v, spec.tau)},
-    "model": lambda spec: {"model": MAX},
+    # Not all-max, which would take the threshold path and read no column.
+    "model": lambda spec: {"model": AVG},
     "tau": lambda spec: {"taus": [0.5]},
     "weights": lambda spec: {"spec": JobSpec(spec.s1, spec.s2, spec.tasks, spec.w[::-1],
                                              np.array([0.2, 0.6, 1.0]), spec.tau)},
@@ -1227,6 +1253,17 @@ def test_bracket_path_counts_every_trial_as_its_column_path_error(case, monkeypa
     brackets = _spy(monkeypatch, "_bracket_counts")
     assert _counts(estimate_many(workers, spec, model, config, taus)) == want
     assert len(brackets) == 1
+
+
+def test_the_bracket_gate_reads_the_calls_trials_not_a_shares(monkeypatch):
+    # A 20k-trial fixture estimate takes the bracket path on one process
+    # and on two, where each share holds about 10k trials.
+    spec, human = load_fixture_job(), named_worker("human")
+    for processes in (1, 2):
+        _at(processes, monkeypatch)
+        brackets = _spy(monkeypatch, "_bracket_counts")
+        estimate_success_probability(human, spec, FIXTURE_MODEL, SimConfig(trials=20_000, seed=5))
+        assert len(brackets) == 1
 
 
 def test_bracket_path_transforms_only_its_tables_and_the_undecided_trials(monkeypatch):
