@@ -90,7 +90,8 @@ def test_bad_seed_and_balanced_descriptor_exit_2(capsys):
 
 
 @pytest.mark.parametrize("flags", [("--sigma", "-1"), ("--noise", "uniform", "--sigma", "2"),
-                                   ("--noise", "trunc"), ("--var1", "0.01"), ("--var2", "0.01")])
+                                   ("--noise", "trunc"), ("--sigma", "0.2", "--var1", "0.01"),
+                                   ("--noise", "trunc", "--var2", "0.01"), ("--var1", "0.01"), ("--var2", "0.01")])
 def test_preset_rejects_noise_flags(capsys, flags):
     # A preset fixes its own noise; a noise flag beside it used to be ignored.
     code, stdout, err = run(capsys, "estimate", "--worker", "human", "--trials", "10", *flags)
