@@ -25,54 +25,58 @@ CPUs in the caller's affinity mask (``os.sched_getaffinity``): global
 block g, counted in stream order across chunks, goes to share
 g % min(P, blocks).  The caller computes share 0 while P - 1 peer
 processes, forked on first need and kept for the life of the caller,
-compute one share each from an explicit request (workers, job, model,
-seed, tag, trials, taus and the share's block ranges), so no module
-state of a peer sets a bit.  Replies are integer success counts, each
-block's error vector or first-success histograms; the caller sums the
+compute one share each from an explicit request (the share function,
+the call's draws and arguments, and the share's block ranges), so no
+module state of a peer sets a bit.  Replies are integer success counts,
+each block's error vector or first-success histograms; the caller sums the
 counts and rebuilds each chunk's error vector before summing it, so
 every bit is the same for every P.  Peers are forked (not spawned) and
 only from a process with one thread; a call from a process with more
 threads, before its peers exist, runs alone, as does every call on one
 CPU, at one block, or after a peer's pipe broke.
 
-Calls on the same draws (seed, stream tag, trials and difficulties)
-share a carry of level columns: the (trials, n) errors of one (level,
-profile, p), which depend on nothing else.  A call keeps the columns it
-uses that the previous call on the same draws also used, reads kept
-columns instead of computing them, and replaces the carry whole when it
-ends; a block whose columns all come from the carry draws no uniforms.
-Kept columns never exceed ``CHUNK_TRIALS * 2n`` doubles, the size of one
-chunk's ``u`` section.  Each process keeps the rows of its own share and
-reads kept columns only under the split that kept them.  The carry
-changes no bit, and a bisected sweep (below) neither reads nor replaces
-it.
+``estimate_many`` counts on one of three paths, chosen once per call
+from its workers, job, model, trials and taus alone, so no earlier call
+and no number of processes changes which path a call takes.  The
+threshold path takes an all-max call whose chosen leaves all have
+uniform noise or none and that counts at most :data:`_THRESHOLD_TAUS`
+distinct taus; else the bracket path takes a call of at least
+:data:`_BRACKET_TRIALS` trials with a truncated-normal leaf; else the
+column path computes every level column and evaluates every trial.
+``estimate_err_avg`` always takes the column path, and bisected sweeps
+(below) count by bisection.  The threshold and bracket paths give the
+column path's counts, bit for bit (see below).
+
+Only the column path touches the carry, this process's store of level
+columns: the (trials, n) errors of one (level, profile, p), which depend
+on nothing but the draws (seed, stream tag, trials and difficulties).
+The carry is keyed by the draws and the blocks of the share that kept
+it, which are exactly the rows its columns hold, so kept columns are
+read only by a share over the same blocks.  A share keeps the columns it
+uses that the previous share on its key also used, reads kept columns
+instead of computing them, and replaces the carry whole when it ends; a
+block whose columns all come from the carry draws no uniforms.  Kept
+columns never exceed ``CHUNK_TRIALS * 2n`` doubles, the size of one
+chunk's ``u`` section.  The carry changes no bit.
 
 With h = g = f = max a trial succeeds iff every covered subskill error
-is at most tau.  ``estimate_many`` then counts successes from the
-uniforms alone (the threshold path) when every leaf profile that some
-difficulty chooses has uniform noise or none and the call counts at most
-:data:`_THRESHOLD_TAUS` distinct taus.  Every uniform is k * 2**-53 for
-an integer 0 <= k < 2**53.  The transform ``e + half*(2q - 1)``, its
-clip and the error ``1 - x`` are chains of correctly rounded operations,
-each monotone in q (Goldberg 1991, "What every computer scientist should
-know about floating-point arithmetic"), so a subskill's success at tau
-is monotone on that lattice: the monotone-coupling argument below, made
-exact per subskill.
+is at most tau, so the threshold path counts successes from the uniforms
+alone.  Every uniform is k * 2**-53 for an integer 0 <= k < 2**53.  The
+transform ``e + half*(2q - 1)``, its clip and the error ``1 - x`` are
+chains of correctly rounded operations, each monotone in q (Goldberg
+1991, "What every computer scientist should know about floating-point
+arithmetic"), so a subskill's success at tau is monotone on that
+lattice: the monotone-coupling argument below, made exact per subskill.
 Each (worker, level, tau, difficulty) gets the least k that passes, or
 2**53 when none does, certified with the unchanged transform (k passes
 and k - 1 fails).  A block compares each covered subskill's picked
 uniform (its own u, or beta where sel < p) with its threshold: no
-transform, no job error and no evaluator call per trial, and every
-count equals the column path's bit for bit.  Truncated-normal leaves
-(``ndtri`` is not provably monotone), other models, ``estimate_err_avg``
-and bisected sweeps do not take it.  The threshold path neither reads
-nor replaces the carry.
+transform, no job error and no evaluator call per trial.
+Truncated-normal leaves are left to the other paths, since ``ndtri`` is
+not provably monotone.
 
-``estimate_many`` counts a share with a truncated-normal leaf (sigma > 0)
-on the bracket path when the call has at least :data:`_BRACKET_TRIALS`
-trials and the carry neither holds nor keeps any of the call's columns.
-Each level of each worker gets a table of its errors at the K + 1
-uniforms k/K (K = :data:`_BRACKET_CELLS`), from the unchanged
+On the bracket path each level of each worker gets a table of its errors
+at the K + 1 uniforms k/K (K = :data:`_BRACKET_CELLS`), from the unchanged
 ``quantile``, which is elementwise, so select and piecewise profiles
 need nothing special.  A block picks each subskill's uniform q as the
 column path does and reads, at its cell k = floor(q*K), the errors at
@@ -99,9 +103,7 @@ with u = 2**-53 (Higham 2002, "Accuracy and Stability of Numerical
 Algorithms", 2nd ed., ch. 4; a max rounds nothing), about 4e-15 of the
 sum at n = 36 (the fixture's subskills) against the 2**-30 pad.  So
 every count equals the column path's, with only ``ndtri``'s part of the
-pad resting on measurement rather than proof.  The bracket path
-replaces the carry as the column path would; ``estimate_err_avg`` and
-bisected sweeps do not take it.
+pad resting on measurement rather than proof.
 
 CRN ability sweeps rest on monotone coupling (Glasserman & Yao 1992,
 "Some guidelines and guarantees for common random numbers", Management
@@ -158,8 +160,7 @@ _BRACKET_PAD = 2.0**-30
 # at 4k; at 16k a worker's tables cost 1/16 of the transforms they save,
 # and 10k-trial calls (the CLI's default, and the merge, phase and
 # compression calls that read most of their columns from the carry) keep
-# the column path.  The gate reads the call's trials, not a share's, so a
-# call takes the same path whatever the number of processes.
+# the column path.
 _BRACKET_TRIALS = 1 << 14
 # Rows whose bounds the bracket path gathers and evaluates at once: on the
 # fixture at p = 0.3, 512 ran as fast as 1,024 with half the buffers, and
@@ -315,12 +316,6 @@ def _level_errors(profile: AbilityProfile, s: np.ndarray, p: float, col: int, u,
     equals transforming both and picking, bit for bit."""
     x = quantile(profile, s[None, :], _level_uniforms(p, col, u, beta, sel))
     return np.subtract(1.0, x, out=x if out is None else out)
-
-
-def _column_keys(workers) -> dict:
-    """The (level column, profile, p) keys of the workers' level columns,
-    in order of first use."""
-    return dict.fromkeys((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,67 +577,84 @@ def _bracket_counts(draws: _Draws, workers: list[Worker], taus: list[float], blo
 
 
 def _brackets_apply(workers: list[Worker], draws: _Draws) -> bool:
-    """Whether the bracket path may count a share of a call on ``draws``:
-    the call has at least :data:`_BRACKET_TRIALS` trials and some chosen
-    leaf has truncated-normal noise (the one law whose transform costs more
-    than a table lookup)."""
+    """Whether the bracket path may count a call on ``draws``: it has at
+    least :data:`_BRACKET_TRIALS` trials and some chosen leaf has
+    truncated-normal noise (the one law whose transform costs more than a
+    table lookup)."""
     return draws.trials >= _BRACKET_TRIALS and any(
         leaf.noise.kind == TRUNCNORM and leaf.noise.sigma > 0.0 for leaf in _chosen_leaves(workers, draws.spec))
 
 
-def _count_share(draws: _Draws, workers: list[Worker], taus: list[float], blocks, split):
-    """Share of ``estimate_many``: the (worker, tau) success counts of
-    ``workers`` on ``blocks``, by one of three count paths (see the module
-    docstring).  The threshold path decides all-max trials of uniform or
-    zero noise from the uniforms, and neither reads nor replaces the
-    carry.  The bracket path decides trials from tabulated error bounds,
-    in a large call whose columns the carry neither holds nor keeps.  The
-    column path computes every level column, or reads it from the carry.
-    Both of the last two replace the carry alike."""
-    if len(taus) <= _THRESHOLD_TAUS and _thresholds_apply(workers, draws.spec, draws.model):
-        return _threshold_counts(draws, workers, taus, blocks)
-    used = _column_keys(workers)
-    carried, keep = _share_columns(draws, split, used)
-    if not carried and not keep and _brackets_apply(workers, draws):
-        counts = _bracket_counts(draws, workers, taus, blocks)
-    else:
-        counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
-        for _, spans, err in _shared_draw_errors(workers, draws, blocks, carried, keep):
-            for a, b in spans:
-                for j, t in enumerate(taus):
-                    counts[:, j] += np.count_nonzero(err[:, a:b] <= t, axis=1)
-            del err  # else it would stay alive through the next chunk
-    _replace_carry(draws, split, used, {**carried, **keep})
+@dataclass(frozen=True)
+class _Carry:
+    """What the most recent column-path share leaves for the next: its key
+    (the draws key and the share's blocks, the rows its columns hold), the
+    column keys it used and the level columns it kept."""
+
+    key: tuple | None = None
+    used: frozenset = frozenset()
+    columns: dict = field(default_factory=dict)
+
+
+# This process's carry, read and replaced by :func:`_carried_errors`.
+_carry = _Carry()
+
+
+def _carried_errors(workers: list[Worker], draws: _Draws, blocks):
+    """:func:`_shared_draw_errors` on this process's carry.  A share whose
+    key (draws and blocks) is the carry's reads the carried columns it
+    uses, and keeps fresh (trials, n) arrays for the others that the
+    previous share on that key also used, as many as fit beside the
+    carried ones in ``CHUNK_TRIALS * 2n`` doubles.  When the share ends,
+    its carried and kept columns replace the carry whole."""
+    global _carry
+    key, carry = (draws.key(), tuple(blocks)), _carry
+    used = dict.fromkeys((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
+    if carry.key != key:
+        carry = _Carry()
+    carried = {column: carry.columns[column] for column in used if column in carry.columns}
+    room = 2 * CHUNK_TRIALS // draws.trials - len(carried)
+    fresh = [column for column in used if column in carry.used and column not in carried][:room]
+    keep = {column: np.empty((draws.trials, draws.spec.n)) for column in fresh}
+    yield from _shared_draw_errors(workers, draws, blocks, carried, keep)
+    _carry = _Carry(key, frozenset(used), {**carried, **keep})
+
+
+def _column_counts(draws: _Draws, workers: list[Worker], taus: list[float], blocks):
+    """Share of ``estimate_many`` on the column path: the (worker, tau)
+    success counts of ``workers`` on ``blocks``, from each trial's job
+    error, every level column computed or read from the carry."""
+    counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
+    for _, spans, err in _carried_errors(workers, draws, blocks):
+        for a, b in spans:
+            for j, t in enumerate(taus):
+                counts[:, j] += np.count_nonzero(err[:, a:b] <= t, axis=1)
+        del err  # else it would stay alive through the next chunk
     return counts
 
 
-def _error_share(draws: _Draws, worker: Worker, blocks, split):
-    """Share of ``estimate_err_avg``: the (chunk, a, b, errors) of each of
-    ``blocks``."""
-    used = _column_keys([worker])
-    carried, keep = _share_columns(draws, split, used)
-    pieces = [(chunk, a, b, err[0, a:b]) for chunk, spans, err in
-              _shared_draw_errors([worker], draws, blocks, carried, keep) for a, b in spans]
-    _replace_carry(draws, split, used, {**carried, **keep})
-    return pieces
+def _error_share(draws: _Draws, worker: Worker, blocks):
+    """Share of ``estimate_err_avg``, on the column path: the (chunk, a, b,
+    errors) of each of ``blocks``."""
+    return [(chunk, a, b, err[0, a:b]) for chunk, spans, err in _carried_errors([worker], draws, blocks)
+            for a, b in spans]
 
 
-def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], blocks, split):
+def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], blocks):
     """Share of a bisected sweep: on ``blocks``, how many trials of
     ``worker``, with level ``col + 1`` set to each of ``profiles`` (in
     order of non-decreasing mean ability), first succeed (job error at
     most the job's tau) at each index in [0, K] (K when none succeeds), by
     bisection per trial.
 
-    Each block computes the other level's column once into its slot, and
-    this level's uniforms once; the carry is neither read nor kept.  Each
-    trial's first successful index then takes ``K.bit_length()``, that is
-    ceil(log2(K + 1)), whole-block evaluations, each at every row's own
-    midpoint: the row's per-difficulty terms are gathered from its profile
-    and go through the unchanged transform, straight into this level's
-    slot, and the evaluator, with every row at its position in the
-    block.  The success count at index k is the number of trials whose
-    first success is at most k."""
+    Each block computes the other level's column once into its slot, and this
+    level's uniforms once.  Each trial's first successful index then takes
+    ``K.bit_length()``, that is ceil(log2(K + 1)), whole-block evaluations,
+    each at every row's own midpoint: the row's per-difficulty terms are
+    gathered from its profile and go through the unchanged transform,
+    straight into this level's slot, and the evaluator, with every row at
+    its position in the block.  The success count at index k is the number
+    of trials whose first success is at most k."""
     spec = draws.spec
     n, p, fixed = spec.n, worker.p, 1 - col
     levels = ((worker.alpha1, spec.s1), (worker.alpha2, spec.s2))
@@ -678,46 +690,10 @@ def _binomial_estimate(successes: int, trials: int, seed: int) -> SimEstimate:
     return SimEstimate(p, stderr, ci, trials, seed)
 
 
-@dataclass(frozen=True)
-class _Carry:
-    """What the most recent call leaves for the next call on its draws:
-    the draws key, the column keys it used, the level columns it kept and
-    the (share, shares) split whose rows they hold."""
-
-    key: tuple | None = None
-    used: frozenset = frozenset()
-    columns: dict = field(default_factory=dict)
-    split: tuple = (0, 1)
-
-
-# Each share of a call reads this process's carry when it starts and
-# replaces it whole when it ends.
-_carry = _Carry()
-
-
-def _share_columns(draws: _Draws, split: tuple, used: dict):
-    """The carried columns of ``used`` that a share on ``draws`` reads
-    (kept under the same split), and fresh (trials, n) arrays to keep for
-    the others that the previous call on these draws also used, as many as
-    fit beside the carried ones in ``CHUNK_TRIALS * 2n`` doubles."""
-    carry = _carry
-    if carry.key != draws.key():
-        carry = _Carry()
-    carried = {key: carry.columns[key] for key in used if key in carry.columns} if carry.split == split else {}
-    room = 2 * CHUNK_TRIALS // draws.trials - len(carried)
-    fresh = [key for key in used if key in carry.used and key not in carried][:room]
-    return carried, {key: np.empty((draws.trials, draws.spec.n)) for key in fresh}
-
-
-def _replace_carry(draws: _Draws, split: tuple, used: dict, columns: dict) -> None:
-    global _carry
-    _carry = _Carry(draws.key(), frozenset(used), columns, split)
-
-
 # --- splitting a call's blocks among processes -----------------------------
 
 # The share functions a request may name.
-_SHARES = frozenset({"_count_share", "_error_share", "_bisected_counts"})
+_SHARES = frozenset({"_threshold_counts", "_bracket_counts", "_column_counts", "_error_share", "_bisected_counts"})
 
 
 def _share(name: str):
@@ -791,11 +767,11 @@ def _serve(caller_end, conn) -> None:
         other.close()
     while True:
         try:
-            share, draws, args, blocks, split = conn.recv()
+            share, draws, args, blocks = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, _share(share)(draws, *args, blocks, split))
+            reply = (True, _share(share)(draws, *args, blocks))
         except Exception as exc:  # raised again by the caller
             reply = (False, exc)
         conn.send(reply)
@@ -841,27 +817,25 @@ def _run_shares(share: str, draws: _Draws, args: tuple) -> list:
             peers = _peers.take(wanted)
             shares = len(peers) + 1
             done = peers and _round_trip(
-                peers, [(share, draws, args, blocks[j::shares], (j, shares)) for j in range(1, shares)],
-                lambda: run(draws, *args, blocks[::shares], (0, shares)))
+                peers, [(share, draws, args, blocks[j::shares]) for j in range(1, shares)],
+                lambda: run(draws, *args, blocks[::shares]))
         finally:
             _peers.lock.release()
         if done:
             mine, theirs = done
             return [mine, *theirs]
-    return [run(draws, *args, blocks, (0, 1))]
+    return [run(draws, *args, blocks)]
 
 
 def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig | None = None,
                   taus=None, _tag: int = 0) -> list[SimEstimate]:
     """P for every (worker, tau) pair, worker-major, all on the same draws.
 
-    Each chunk is drawn once per call; equal workers are evaluated once
-    and one error vector is counted against every tau (None means the
-    job's own tau).  Level columns that the carry holds are read instead
-    of computed; all-max calls may count by uniform thresholds, and
-    large calls with truncated-normal noise from tabulated error brackets
-    instead (see the module docstring).  Each estimate equals a call
-    with that worker and tau alone, bit for bit.
+    Each chunk is drawn once per call, equal workers are counted once,
+    and every tau (None means the job's own) is counted on the same
+    draws.  The call counts on the threshold, bracket or column path,
+    chosen from the call alone (see the module docstring).  Each
+    estimate equals a call with that worker and tau alone, bit for bit.
     """
     config = config or SimConfig()
     workers = list(workers)
@@ -869,8 +843,14 @@ def estimate_many(workers, spec: JobSpec, model: ErrorModel, config: SimConfig |
         raise ParameterError("need at least one worker")
     taus = [check_tau(spec.tau if t is None else t) for t in ([None] if taus is None else taus)]
     distinct, distinct_taus = list(dict.fromkeys(workers)), list(dict.fromkeys(taus))
-    counts = sum(_run_shares("_count_share", _Draws(spec, model, config.seed, _tag, config.trials),
-                             (distinct, distinct_taus))).tolist()
+    draws = _Draws(spec, model, config.seed, _tag, config.trials)
+    if len(distinct_taus) <= _THRESHOLD_TAUS and _thresholds_apply(distinct, spec, model):
+        share = "_threshold_counts"
+    elif _brackets_apply(distinct, draws):
+        share = "_bracket_counts"
+    else:
+        share = "_column_counts"
+    counts = sum(_run_shares(share, draws, (distinct, distinct_taus))).tolist()
     successes = {(w, t): k for w, row in zip(distinct, counts) for t, k in zip(distinct_taus, row)}
     return [_binomial_estimate(successes[w, t], config.trials, config.seed) for w in workers for t in taus]
 
@@ -916,8 +896,7 @@ def estimate_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel,
                      config: SimConfig | None = None) -> ErrAvgResult:
     """Monte Carlo mean of the job error; exact value attached when available.
 
-    It runs on tag 0 and shares the carry of level columns with
-    ``estimate_many``."""
+    It runs on tag 0, on the column path."""
     config = config or SimConfig()
     pieces = _run_shares("_error_share", _Draws(spec, model, config.seed, 0, config.trials), (worker,))
     # Each chunk's errors are summed whole, as one vector, whatever the split.
@@ -944,7 +923,8 @@ def estimate_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel,
 ABILITY_KNOBS = {"a": (ability.LINEAR, ability.linear_profile),
                  "c": (ability.CONSTANT, ability.constant_profile),
                  "beta": (ability.POLYNOMIAL, ability.polynomial_profile)}
-KNOBS = (*(stem + level for stem in ABILITY_KNOBS for level in "12"), "sigma", "sigma1", "sigma2", "p", "tau")
+# The knobs apply_knob sets; tau is the job's threshold, not a worker's.
+KNOBS = (*(stem + level for stem in ABILITY_KNOBS for level in "12"), "sigma", "sigma1", "sigma2", "p")
 
 
 def _set_ability(profile: AbilityProfile, value: float, family: str) -> AbilityProfile:
@@ -968,7 +948,9 @@ def apply_knob(worker: Worker, name: str, value: float) -> Worker:
                        alpha2=_set_sigma(worker.alpha2, value))
     stem, level = name[:-1], name[-1:]
     if level not in ("1", "2") or (stem != "sigma" and stem not in ABILITY_KNOBS):
-        raise ParameterError(f"unknown parameter knob {name!r} (choose from {KNOBS})")
+        hint = ("; tau is the job's threshold: set it by JobSpec.with_tau, or make it an axis of sweep or "
+                "a heatmap") if name == "tau" else ""
+        raise ParameterError(f"unknown parameter knob {name!r} (choose from {KNOBS}{hint})")
     attr = f"alpha{level}"
     prof = getattr(worker, attr)
     new = _set_sigma(prof, value) if stem == "sigma" else _set_ability(prof, value, ABILITY_KNOBS[stem][0])
@@ -991,8 +973,7 @@ class SweepPoint:
 def _bisected_sweep(worker: Worker, col: int, grid: list[float], workers: list[Worker], spec: JobSpec,
                     model: ErrorModel, config: SimConfig | None) -> list[SimEstimate]:
     """P of each grid worker (``worker`` with level ``col + 1`` set at the
-    grid value) on tag 0, by :func:`_bisected_counts`, which leaves the
-    carry as it is."""
+    grid value) on tag 0, by :func:`_bisected_counts`."""
     config = config or SimConfig()
     by_value = dict(zip(grid, workers))
     values = sorted(by_value)
@@ -1041,10 +1022,10 @@ def sweep(
     grid values (see the module docstring), so a curve is non-decreasing
     by construction and costs ceil(log2(K + 1)) evaluations per trial for
     K values, not K.  Its counts equal those of ``estimate_many`` on the
-    grid workers by test, not by proof; it neither reads nor replaces the
-    carry.  Every other sweep (factories, sigma, p and tau, and any sweep
-    without CRN) is a grid of ``(worker, tau)`` cases that goes through
-    :func:`estimate_cases`, as the CLI's heatmaps do.
+    grid workers by test, not by proof.  Every other sweep (factories,
+    sigma, p and tau, and any sweep without CRN) is a grid of ``(worker,
+    tau)`` cases that goes through :func:`estimate_cases`, as the CLI's
+    heatmaps do.
     """
     grid = [float(v) for v in grid]
     if not grid:

@@ -1,4 +1,5 @@
-"""Every function and method of the library has a caller outside the tests."""
+"""Every function and method of the library has a caller outside the tests,
+and reads every parameter it takes."""
 
 import ast
 import math
@@ -116,3 +117,27 @@ def test_every_library_option_is_set_by_a_program():
             if not by_keyword and (position is None or most.get(owner, 0) <= position):
                 unset.append(f"{path.name} {owner}.{name}")
     assert unset == [], unset
+
+
+# The subcommand protocol: every ``_cmd_*`` handler takes (args, argv), and
+# ``_cmd_rerun`` has no use for argv.
+UNREAD_BY_PROTOCOL = "argv"
+
+
+def _parameters(node) -> list[str]:
+    args = node.args
+    return [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            if arg is not None]
+
+
+def test_every_library_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            read = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {name}({param})" for param in _parameters(node)
+                       if param not in read and not (name.startswith("_cmd_") and param == UNREAD_BY_PROTOCOL)]
+    assert unread == [], unread

@@ -248,6 +248,10 @@ def test_apply_knob_errors():
         apply_knob(worker, "c1", 0.5)  # not a constant profile
     with pytest.raises(ParameterError):
         apply_knob(worker, "zeta", 0.5)
+    # tau is the job's, not the worker's, and only its own knobs are listed.
+    with pytest.raises(ParameterError, match="tau is the job's threshold") as raised:
+        apply_knob(worker, "tau", 0.5)
+    assert "'tau'" not in str(raised.value).split("choose from")[1].split(";")[0]
     assert apply_knob(worker, "p", 0.7).p == 0.7
     assert apply_knob(worker, "sigma", 0.05).alpha1.noise.sigma == 0.05
 
@@ -1266,6 +1270,23 @@ def test_the_bracket_gate_reads_the_calls_trials_not_a_shares(monkeypatch):
         assert len(brackets) == 1
 
 
+def test_a_repeat_on_the_same_draws_stays_on_the_bracket_path(monkeypatch):
+    # The path is chosen from the call alone: a 20k-trial fixture call and
+    # its repeat on the same draws both take the bracket path, and neither
+    # touches the carry, which only the column path reads and replaces.
+    spec, human = load_fixture_job(), named_worker("human")
+    noise = truncnorm_var(AI_VARIANCE / 2)
+    assistant = Worker(linear_profile(0.1, noise), constant_profile(0.7, noise))
+    config = SimConfig(trials=20_000, seed=13)
+    for processes in (1, 2):
+        _at(processes, monkeypatch)
+        carry = simulate._carry
+        brackets, columns = _spy(monkeypatch, "_bracket_counts"), _spy(monkeypatch, "_shared_draw_errors")
+        first = estimate_many([human, assistant], spec, FIXTURE_MODEL, config)
+        assert _bits(estimate_many([human, assistant], spec, FIXTURE_MODEL, config)) == _bits(first)
+        assert len(brackets) == 2 and columns == [] and simulate._carry is carry
+
+
 def test_bracket_path_transforms_only_its_tables_and_the_undecided_trials(monkeypatch):
     # A 200k-trial fixture estimate at p = 0.3 in one process: ndtri runs on
     # both levels' tables and on under 5 % of the trials' subskills.
@@ -1355,13 +1376,21 @@ def test_sweeps_do_not_depend_on_the_split(param, grid, monkeypatch):
 
 @pytest.mark.parametrize("first, then", [(2, 1), (1, 2), (2, 3)])
 def test_a_call_after_a_call_under_another_split_equals_a_fresh_call(first, then, monkeypatch):
-    # The first call's carry holds the columns of its own share only.
+    # The carry is keyed by the blocks of the share that kept it.  The
+    # Err_avg calls keep one worker's columns; a repeat at the same P reads
+    # them, and a call at another P, whose share 0 holds other blocks,
+    # computes them again.
     spec, workers = _many_case()
     config = SimConfig(trials=3 * BLOCK_TRIALS + 50, seed=83)
+    forget_carry(monkeypatch)
+    computed, columns = _spy(monkeypatch, "_level_errors"), []
     for p in (first, first, then):
         monkeypatch.setattr(simulate, "_PROCESSES", p)
         counted = estimate_many(workers, spec, AVG, config, [0.4 + 0.05 * p])
+        del computed[:]
         err_avg = estimate_err_avg(workers[1], spec, AVG, config).estimate
+        columns.append(len(computed))
+    assert columns[1] == 0 and columns[0] > 0 and columns[2] > 0
     for p in (first, then):
         _at(p, monkeypatch)
         assert _bits(estimate_many(workers, spec, AVG, config, [0.4 + 0.05 * then])) == _bits(counted)
@@ -1385,7 +1414,7 @@ def test_a_peer_error_is_raised_by_the_caller(own_peers, monkeypatch):
     monkeypatch.setattr(simulate, "_PROCESSES", 2)
     peers = own_peers.take(1)
     with pytest.raises(ParameterError, match="no share function"):
-        simulate._round_trip(peers, [("estimate_many", None, (), [], (1, 2))], lambda: None)
+        simulate._round_trip(peers, [("estimate_many", None, (), [])], lambda: None)
     spec, workers = _many_case()
     config = SimConfig(trials=2 * BLOCK_TRIALS, seed=97)
     split = _bits(estimate_many(workers, spec, AVG, config))
