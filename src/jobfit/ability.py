@@ -305,21 +305,20 @@ def cdf(profile: AbilityProfile, s, x):
         f = np.where(mask, fb, fa)
         return f if f.shape else float(f)
 
-    e = np.asarray(mean_ability(profile, s_arr), dtype=float)
+    e, *terms = _terms(profile, s_arr)
     sigma = profile.noise.sigma
     if sigma == 0.0:
         f = (x_arr >= e).astype(float)
     elif profile.noise.kind == UNIFORM:
-        half = np.minimum(e, 1.0 - e) * sigma
+        (half,) = terms
         with np.errstate(divide="ignore", invalid="ignore"):
             f = (x_arr - (e - half)) / (2.0 * half)
         f = np.where(half > 0.0, f, (x_arr >= e).astype(float))
         f = np.clip(f, 0.0, 1.0)
     else:
+        pa, span = terms
         with np.errstate(over="ignore"):
-            pa = ndtr((0.0 - e) / sigma)
-            pb = ndtr((1.0 - e) / sigma)
-            f = np.clip((ndtr((x_arr - e) / sigma) - pa) / (pb - pa), 0.0, 1.0)
+            f = np.clip((ndtr((x_arr - e) / sigma) - pa) / span, 0.0, 1.0)
         f = np.where(x_arr < 0.0, 0.0, np.where(x_arr >= 1.0, 1.0, f))
     return f if f.shape else float(f)
 

@@ -13,12 +13,14 @@ stream seeded by ``SeedSequence([seed, tag, chunk])`` holds ``u``
 ``sel`` (count, n, 2) at ``count*(2n+1)``, each row-major, one 64-bit
 draw per double.  Row a of a section therefore starts at the section's
 offset plus ``a*2n`` (``a`` for beta), and a block of rows is read by
-advancing the seeded stream there.  The engine runs each chunk in blocks
-of :data:`BLOCK_TRIALS` trials, so its working set is a block, not a
-chunk; the block size changes no bit of any result.  A block draws beta
-and ``sel`` only if a column it computes has p > 0, and holds both level
-columns in one level-major (2, rows, n) array; the errors of a column
-that one worker uses are written straight into its contiguous slot.
+advancing the seeded stream there.  One walk draws every block of
+:data:`BLOCK_TRIALS` trials for every path, and each path holds one
+block's uniforms and errors at a time, for any number of workers, so its
+working set is a block, not a chunk; the block size changes no bit of
+any result.  A block draws beta and ``sel`` only if a column it computes
+has p > 0, and holds both level columns in one level-major (2, rows, n)
+array; the errors of a column that one worker uses are written straight
+into its contiguous slot.
 
 Each call splits its blocks among P processes, P being the number of
 CPUs in the caller's affinity mask (``os.sched_getaffinity``): global
@@ -227,21 +229,12 @@ class SimEstimate:
             raise ParameterError(f"estimate {self.value} outside its CI {self.ci} or stderr {self.stderr} < 0")
 
 
-def _chunk_streams(trials: int):
-    start = 0
-    idx = 0
-    while start < trials:
-        count = min(CHUNK_TRIALS, trials - start)
-        yield idx, count
-        start += count
-        idx += 1
-
-
 def _call_blocks(trials: int) -> list[tuple[int, int, int, int]]:
     """Every (chunk, count, a, b) block of a call on ``trials`` trials, in
     stream order: rows a..b-1 of a chunk of ``count`` trials."""
+    counts = [min(CHUNK_TRIALS, trials - start) for start in range(0, trials, CHUNK_TRIALS)]
     return [(chunk, count, a, min(a + BLOCK_TRIALS, count))
-            for chunk, count in _chunk_streams(trials) for a in range(0, count, BLOCK_TRIALS)]
+            for chunk, count in enumerate(counts) for a in range(0, count, BLOCK_TRIALS)]
 
 
 def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
@@ -273,29 +266,6 @@ def _chunk_uniforms(seed: int, tag: int, chunk: int, count: int, n: int, *,
     if not coupled:
         return u, None, None
     return u, section(count * 2 * n, 1, b - a, beta_out), section(count * (2 * n + 1), 2 * n, (b - a, n, 2))
-
-
-# Per-thread u and beta arrays of the block loops (see _block_uniforms).
-_scratch = threading.local()
-
-
-def _block_uniforms(n: int, rows: int):
-    """This thread's (u, beta) arrays for blocks of up to ``rows`` rows
-    over n skills, the ``out`` of :func:`_chunk_uniforms`.
-
-    Every block of every call draws u, and beta when coupled.  Drawn into
-    fresh arrays, they went back to the kernel and were faulted in again,
-    block after block and call after call; kept here (with each call's zeta array
-    reused across its blocks), a 200k-trial fixture estimate at p = 0.3
-    takes 1.2k page faults instead of 7.7k, and a shared-draws merge-map
-    row 0.9k instead of 9.3k.  Keeping sel and zeta per thread as well
-    faulted more, not less, on the max-job and fixture benchmark
-    workloads.  No block reads what an earlier block drew, so generators
-    of one thread may interleave at their yields."""
-    arrays = getattr(_scratch, "uniforms", None)
-    if arrays is None or arrays[0].shape != (rows, n, 2):
-        arrays = _scratch.uniforms = (np.empty((rows, n, 2)), np.empty(rows))
-    return arrays
 
 
 def _level_uniforms(p: float, col: int, u, beta, sel) -> np.ndarray:
@@ -333,30 +303,54 @@ class _Draws:
         return (self.seed, self.tag, self.trials, self.spec.s1.tobytes(), self.spec.s2.tobytes())
 
 
-def _block_arrays(n: int, blocks):
-    """This thread's u and beta arrays and a fresh level-major zeta array,
-    all sized for the largest of ``blocks``."""
-    rows = max(b - a for *_, a, b in blocks)
-    return _block_uniforms(n, rows), np.empty((2, rows, n))
+# Per-thread u and beta arrays of the block walk (see _drawn_blocks).
+_scratch = threading.local()
+
+
+def _drawn_blocks(draws: _Draws, blocks, coupled: bool, draw: bool):
+    """Yield ``(chunk, a, b, u, beta, sel)`` for each of ``blocks``, in
+    order: the block's uniforms from :func:`_chunk_uniforms`, beta and sel
+    only if ``coupled`` (else None), and none at all (all None) unless
+    ``draw``.  Every share walks its blocks here, and every block looks
+    ``_chunk_uniforms`` up as a module attribute, so a wrapper set there
+    sees every draw.
+
+    u and beta are drawn into this thread's pair of arrays, sized for the
+    largest of ``blocks``.  Drawn into fresh arrays, they went back to the
+    kernel and were faulted in again, block after block and call after
+    call; kept here (with each call's zeta array reused across its blocks),
+    a 200k-trial fixture estimate at p = 0.3 takes 1.2k page faults
+    instead of 7.7k, and a shared-draws merge-map row 0.9k instead of
+    9.3k.  Keeping sel and zeta per thread as well faulted more, not less,
+    on the max-job and fixture benchmark workloads.  No block reads what an
+    earlier block drew, so walks of one thread may interleave at their
+    yields."""
+    n, rows = draws.spec.n, max(b - a for *_, a, b in blocks)
+    out = getattr(_scratch, "uniforms", None)
+    if out is None or out[0].shape != (rows, n, 2):
+        out = _scratch.uniforms = (np.empty((rows, n, 2)), np.empty(rows))
+    for chunk, count, a, b in blocks:
+        yield chunk, a, b, *(_chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=coupled,
+                                              rows=(a, b), out=out) if draw else (None, None, None))
 
 
 def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=None, keep=None):
-    """Yield ``(chunk, spans, err)`` for each chunk that ``blocks`` reach, in
-    order, all workers on the chunk's one draw: ``err`` is the chunk's
-    (workers, count) job error array, written at the (a, b) row ``spans``
-    of those blocks.  Within a block, the errors of a level column that
-    one worker uses are written straight into its slot of the level-major
-    zeta array; a column that several workers share (same level, profile
-    and p) is computed once and kept only until its last use.  A (level,
-    profile) computed at two or more p transforms u and beta once each per
-    block (its p = 0 and p = 1 columns) and picks per p; ``quantile`` is
-    elementwise, so each pick equals its own transform, bit for bit.
+    """Yield ``(chunk, a, b, err)`` for each of ``blocks``, in order, all
+    workers on the block's one draw: ``err`` is the block's fresh
+    (workers, b - a) job error array.  Within a block, the errors of a
+    level column that one worker uses are written straight into its slot
+    of the level-major zeta array; a column that several workers share
+    (same level, profile and p) is computed once and kept only until its
+    last use.  A (level, profile) computed at two or more p transforms u
+    and beta once each per block (its p = 0 and p = 1 columns) and picks
+    per p; ``quantile`` is elementwise, so each pick equals its own
+    transform, bit for bit.
 
     ``carried`` and ``keep`` map column keys to whole (trials, n) columns:
     a carried column is read instead of computed, and a computed column
     whose key is in ``keep`` is also written there.  A block that needs no
     column beyond the carried ones draws no uniforms."""
-    spec, seed, tag = draws.spec, draws.seed, draws.tag
+    spec = draws.spec
     carried, keep = carried or {}, keep or {}
     evaluate = make_error_evaluator(spec, draws.model)
     uses = Counter((col, prof, w.p) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
@@ -364,47 +358,40 @@ def _shared_draw_errors(workers: list[Worker], draws: _Draws, blocks, carried=No
     coupled = any(p > 0.0 for _, _, p in missing)
     at_many_p = {pair for pair, k in Counter((col, prof) for col, prof, _ in missing).items() if k > 1}
     pair_uses = Counter((col, prof) for w in workers for col, prof in enumerate((w.alpha1, w.alpha2)))
-    out, zetas = _block_arrays(spec.n, blocks)
-    for chunk, group in itertools.groupby(blocks, key=lambda block: block[0]):
-        group = list(group)
-        count, spans = group[0][1], [(a, b) for *_, a, b in group]
-        err = np.empty((len(workers), count))
-        for a, b in spans:
-            rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
-            if missing:
-                u, beta, sel = _chunk_uniforms(seed, tag, chunk, count, spec.n, coupled=coupled, rows=(a, b),
-                                               out=out)
-            left, memo = Counter(uses), {key: column[rows] for key, column in carried.items()}
-            pair_left, ends = Counter(pair_uses), {}
-            # Level-major, so that each level column is a contiguous slot;
-            # every worker overwrites both slots before its evaluation.
-            zeta = zetas[:, :b - a].transpose(1, 2, 0)
-            for i, w in enumerate(workers):
-                for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
-                    key, pair, slot = (col, prof, w.p), (col, prof), zetas[col, :b - a]
-                    errs = memo.pop(key, None)
-                    if errs is None:
-                        if pair in at_many_p:
-                            if pair not in ends:
-                                ends[pair] = [_level_errors(prof, s, p, col, u, beta, sel) for p in (0.0, 1.0)]
-                            errs = np.where(sel[:, :, col] < w.p, ends[pair][1], ends[pair][0])
-                        else:
-                            # One worker's column goes straight into its slot.
-                            errs = _level_errors(prof, s, w.p, col, u, beta, sel,
-                                                 out=slot if uses[key] == 1 else None)
-                        if key in keep:
-                            keep[key][rows] = errs
-                    left[key] -= 1
-                    if left[key]:
-                        memo[key] = errs
-                    pair_left[pair] -= 1
-                    if not pair_left[pair]:
-                        ends.pop(pair, None)
-                    if errs is not slot:
-                        slot[...] = errs
-                err[i, a:b] = evaluate(zeta)
-        yield chunk, spans, err
-        del err
+    zetas = np.empty((2, max(b - a for *_, a, b in blocks), spec.n))
+    for chunk, a, b, u, beta, sel in _drawn_blocks(draws, blocks, coupled, bool(missing)):
+        rows = slice(chunk * CHUNK_TRIALS + a, chunk * CHUNK_TRIALS + b)
+        err = np.empty((len(workers), b - a))
+        left, memo = Counter(uses), {key: column[rows] for key, column in carried.items()}
+        pair_left, ends = Counter(pair_uses), {}
+        # Level-major, so that each level column is a contiguous slot;
+        # every worker overwrites both slots before its evaluation.
+        zeta = zetas[:, :b - a].transpose(1, 2, 0)
+        for i, w in enumerate(workers):
+            for col, (prof, s) in enumerate(((w.alpha1, spec.s1), (w.alpha2, spec.s2))):
+                key, pair, slot = (col, prof, w.p), (col, prof), zetas[col, :b - a]
+                errs = memo.pop(key, None)
+                if errs is None:
+                    if pair in at_many_p:
+                        if pair not in ends:
+                            ends[pair] = [_level_errors(prof, s, p, col, u, beta, sel) for p in (0.0, 1.0)]
+                        errs = np.where(sel[:, :, col] < w.p, ends[pair][1], ends[pair][0])
+                    else:
+                        # One worker's column goes straight into its slot.
+                        errs = _level_errors(prof, s, w.p, col, u, beta, sel,
+                                             out=slot if uses[key] == 1 else None)
+                    if key in keep:
+                        keep[key][rows] = errs
+                left[key] -= 1
+                if left[key]:
+                    memo[key] = errs
+                pair_left[pair] -= 1
+                if not pair_left[pair]:
+                    ends.pop(pair, None)
+                if errs is not slot:
+                    slot[...] = errs
+            err[i] = evaluate(zeta)
+        yield chunk, a, b, err
 
 
 def _chosen_leaves(workers: list[Worker], spec: JobSpec):
@@ -473,12 +460,10 @@ def _threshold_counts(draws: _Draws, workers: list[Worker], taus: list[float], b
         by_p.setdefault(w.p, []).append(i)
     coupled = any(p > 0.0 for p in by_p)
     rows = max(b - a for *_, a, b in blocks)
-    out, passed = _block_uniforms(n, rows), np.empty((rows, 2 * n), dtype=bool)
+    passed = np.empty((rows, 2 * n), dtype=bool)
     picked = np.empty((rows, n, 2)) if coupled else None
     counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
-    for chunk, count, a, b in blocks:
-        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=coupled, rows=(a, b),
-                                       out=out)
+    for _, a, b, u, beta, sel in _drawn_blocks(draws, blocks, coupled, True):
         for p, group in by_p.items():
             q = u
             if p > 0.0:  # where sel < p a subskill takes the shared status beta
@@ -536,16 +521,13 @@ def _bracket_counts(draws: _Draws, workers: list[Worker], taus: list[float], blo
     evaluate = make_error_evaluator(spec, draws.model)
     coupled = any(w.p > 0.0 for w in workers)
     rows = max(b - a for *_, a, b in blocks)
-    out = _block_uniforms(n, rows)
     # Rows that no trial has written read as errors of 0 until one does.
     zetas = np.zeros((2, rows, n))
     sub = (min(rows, _BRACKET_ROWS_PER_PASS), n, 2)
     cells = {w.p: np.empty(sub, dtype=np.intp) for w in workers}
     scratch, lo_zeta, hi_zeta = np.empty(sub, dtype=np.intp), np.empty(sub), np.empty(sub)
     counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
-    for chunk, count, a, b in blocks:
-        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=coupled, rows=(a, b),
-                                       out=out)
+    for _, a, b, u, beta, sel in _drawn_blocks(draws, blocks, coupled, True):
         lo, hi = np.empty((len(workers), b - a)), np.empty((len(workers), b - a))
         for c in range(0, b - a, _BRACKET_ROWS_PER_PASS):
             d = min(c + _BRACKET_ROWS_PER_PASS, b - a)
@@ -625,19 +607,16 @@ def _column_counts(draws: _Draws, workers: list[Worker], taus: list[float], bloc
     success counts of ``workers`` on ``blocks``, from each trial's job
     error, every level column computed or read from the carry."""
     counts = np.zeros((len(workers), len(taus)), dtype=np.int64)
-    for _, spans, err in _carried_errors(workers, draws, blocks):
-        for a, b in spans:
-            for j, t in enumerate(taus):
-                counts[:, j] += np.count_nonzero(err[:, a:b] <= t, axis=1)
-        del err  # else it would stay alive through the next chunk
+    for *_, err in _carried_errors(workers, draws, blocks):
+        for j, t in enumerate(taus):
+            counts[:, j] += np.count_nonzero(err <= t, axis=1)
     return counts
 
 
 def _error_share(draws: _Draws, worker: Worker, blocks):
     """Share of ``estimate_err_avg``, on the column path: the (chunk, a, b,
     errors) of each of ``blocks``."""
-    return [(chunk, a, b, err[0, a:b]) for chunk, spans, err in _carried_errors([worker], draws, blocks)
-            for a, b in spans]
+    return [(chunk, a, b, err[0]) for chunk, a, b, err in _carried_errors([worker], draws, blocks)]
 
 
 def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[AbilityProfile], blocks):
@@ -663,10 +642,8 @@ def _bisected_counts(draws: _Draws, worker: Worker, col: int, profiles: list[Abi
     last = len(profiles) - 1
     evaluate = make_error_evaluator(spec, draws.model)
     firsts = np.zeros(len(profiles) + 1, dtype=np.int64)
-    out, zetas = _block_arrays(n, blocks)
-    for chunk, count, a, b in blocks:
-        u, beta, sel = _chunk_uniforms(draws.seed, draws.tag, chunk, count, n, coupled=p > 0.0, rows=(a, b),
-                                       out=out)
+    zetas = np.empty((2, max(b - a for *_, a, b in blocks), n))
+    for _, a, b, u, beta, sel in _drawn_blocks(draws, blocks, p > 0.0, True):
         zeta, slot = zetas[:, :b - a].transpose(1, 2, 0), zetas[col, :b - a]
         _level_errors(fixed_prof, fixed_s, p, fixed, u, beta, sel, out=zetas[fixed, :b - a])
         q = _level_uniforms(p, col, u, beta, sel)
@@ -900,7 +877,7 @@ def estimate_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel,
     config = config or SimConfig()
     pieces = _run_shares("_error_share", _Draws(spec, model, config.seed, 0, config.trials), (worker,))
     # Each chunk's errors are summed whole, as one vector, whatever the split.
-    errors = [np.empty(count) for _, count in _chunk_streams(config.trials)]
+    errors = [np.empty(count) for _, count, a, _ in _call_blocks(config.trials) if a == 0]
     for chunk, a, b, err in itertools.chain.from_iterable(pieces):
         errors[chunk][a:b] = err
     total = 0.0

@@ -141,3 +141,14 @@ def test_every_library_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {name}({param})" for param in _parameters(node)
                        if param not in read and not (name.startswith("_cmd_") and param == UNREAD_BY_PROTOCOL)]
     assert unread == [], unread
+
+
+def test_only_the_block_walk_draws_uniforms():
+    # Every share walks its blocks through one generator, so a tracer or
+    # spy on _chunk_uniforms sees every draw the engine makes.
+    mentions = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if _names(node)["_chunk_uniforms"]:
+                mentions.append(f"{path.name} {getattr(node, 'name', type(node).__name__)}")
+    assert mentions == ["simulate.py _drawn_blocks"]

@@ -72,10 +72,17 @@ def tiny_spec(n=2, tau=0.5, seed=0):
 
 
 def errors_by_chunk(workers, spec, model, trials, seed, tag):
-    """``(i, job errors)`` of every worker i per chunk, all blocks of a call
-    on ``trials`` trials in one process."""
-    for _, _, err in _shared_draw_errors(workers, _Draws(spec, model, seed, tag, trials), _call_blocks(trials)):
-        yield from enumerate(err)
+    """``(i, job errors)`` of every worker i per chunk, rebuilt from the
+    blocks of a call on ``trials`` trials in one process."""
+    blocks = _call_blocks(trials)
+    counts = {chunk: count for chunk, count, *_ in blocks}
+    err = None
+    for chunk, a, b, block in _shared_draw_errors(workers, _Draws(spec, model, seed, tag, trials), blocks):
+        if a == 0:
+            err = np.empty((len(workers), counts[chunk]))
+        err[:, a:b] = block
+        if b == counts[chunk]:
+            yield from enumerate(err)
 
 
 def chunk_errors(worker, spec, count=8, seed=1):
@@ -583,7 +590,7 @@ def test_single_use_columns_in_block_slots_equal_one_worker_errors(model, monkey
     carried_key, kept_key = (0, carried, 0.3), (1, kept, 0.3)
     carried_column = _level_errors(carried, spec.s1, 0.3, 0, u, beta, sel)
     kept_column = _level_errors(kept, spec.s2, 0.3, 1, u, beta, sel)
-    alone = [next(_shared_draw_errors([w], draws, blocks))[2][0] for w in workers]
+    alone = [np.concatenate([err[0] for *_, err in _shared_draw_errors([w], draws, blocks)]) for w in workers]
     in_place = []
     original = simulate._level_errors
 
@@ -596,9 +603,8 @@ def test_single_use_columns_in_block_slots_equal_one_worker_errors(model, monkey
         for j in range(shares):
             share, keep = blocks[j::shares], {kept_key: np.full((trials, spec.n), np.nan)}
             in_place.clear()
-            got = {(a, b): err[:, a:b] for _, spans, err in
-                   _shared_draw_errors(workers, draws, share, {carried_key: carried_column}, keep)
-                   for a, b in spans}
+            got = {(a, b): err for _, a, b, err in
+                   _shared_draw_errors(workers, draws, share, {carried_key: carried_column}, keep)}
             # Per block: seven single-use columns, the kept one among them,
             # in their slots; the shared column and the two-p pair's p = 0
             # and p = 1 ends in arrays of their own.
@@ -611,21 +617,22 @@ def test_single_use_columns_in_block_slots_equal_one_worker_errors(model, monkey
 
 
 def test_interleaved_engine_calls_of_one_thread_share_block_uniforms_safely():
-    # Both generators draw into this thread's u and beta arrays; no block
-    # reads what another drew, so stepping them in turn changes no bit.
-    spec = tiny_spec(n=3)
+    # Both walks draw into this thread's u and beta arrays; no block reads
+    # what another drew, so stepping them in turn, a block at a time,
+    # changes no bit.
+    spec, trials = tiny_spec(n=3), CHUNK_TRIALS + 500
     calls = [([linear_worker(0.3, 0.6, 0.2, p=0.4), linear_worker(0.7, 0.2, 0.3)], 17),
              ([linear_worker(0.5, 0.5, 0.4, kind="trunc", p=0.8)], 19)]
 
     def run(workers, seed):
-        return errors_by_chunk(workers, spec, AVG, CHUNK_TRIALS + 500, seed, 0)
+        return _shared_draw_errors(workers, _Draws(spec, AVG, seed, 0, trials), _call_blocks(trials))
 
-    alone = [[err.tobytes() for _, err in run(*call)] for call in calls]
+    alone = [[err.tobytes() for *_, err in run(*call)] for call in calls]
     turns = [[], []]
     for pair in itertools.zip_longest(*(run(*call) for call in calls)):
         for got, step in zip(turns, pair):
             if step is not None:
-                got.append(step[1].tobytes())
+                got.append(step[3].tobytes())
     assert turns == alone
 
 
@@ -661,12 +668,20 @@ def test_estimate_working_set_is_a_block_not_a_chunk():
             w, spec, MAX, SimConfig(trials=CHUNK_TRIALS, seed=3))) < 16.0
 
 
-def test_estimate_many_holds_one_chunk_of_errors_at_a_time():
-    spec = tiny_spec(n=3)
-    workers = [linear_worker(a, 0.4, 0.2) for a in np.linspace(0.1, 0.9, 16)]
-    one_chunk_mb = len(workers) * CHUNK_TRIALS * 8 / 1e6
-    peak = _traced_peak_mb(lambda: estimate_many(workers, spec, AVG, SimConfig(trials=2 * CHUNK_TRIALS)))
-    assert one_chunk_mb < peak < 1.5 * one_chunk_mb
+def test_estimate_many_holds_one_block_of_errors_at_a_time(monkeypatch):
+    # 64 workers on the column path, each level column shared by 8 of them:
+    # one block of their errors is 2.1 MB, a chunk's would be 33.6 MB.
+    monkeypatch.setattr(simulate, "_PROCESSES", 1)
+    spec, noise = tiny_spec(n=3), uniform_noise(0.2)
+    workers = [Worker(linear_profile(a1, noise), linear_profile(a2, noise))
+               for a1 in np.linspace(0.1, 0.9, 8) for a2 in np.linspace(0.2, 0.8, 8)]
+
+    def peak(trials):
+        forget_carry(monkeypatch)
+        return _traced_peak_mb(lambda: estimate_many(workers, spec, AVG, SimConfig(trials=trials)))
+
+    short, long = peak(2 * BLOCK_TRIALS), peak(2 * CHUNK_TRIALS)
+    assert long < 1.25 * short
 
 
 def _bits(estimates):
