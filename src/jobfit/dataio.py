@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -85,9 +85,6 @@ class RawJobRecord:
     tau: float
     skills: tuple[RawSkill, ...]
     tasks: tuple[RawTask, ...]
-    allow_isolated_skills: bool = False
-    provenance: dict = field(default_factory=dict, compare=False)
-    format_version: int = FORMAT_VERSION
 
 
 def _need(doc: dict, key: str, where: str):
@@ -146,15 +143,13 @@ def parse_job_record(doc: dict) -> RawJobRecord:
             importance=_unit(_need(t, "importance", where), f"{where}.importance"),
             skills=tuple(int(j) for j in ids),
         ))
-    allow_isolated = bool(doc.get("allow_isolated_skills", False))
     isolated = sorted(set(range(1, n + 1)) - used)
-    if isolated and not allow_isolated:
+    if isolated and not doc.get("allow_isolated_skills", False):
         raise SchemaError(
             f"skills {isolated} appear in no task; set allow_isolated_skills to accept "
             "(they carry zero weight in every aggregate)"
         )
-    return RawJobRecord(name, tau, tuple(skills), tuple(tasks), allow_isolated,
-                        dict(doc.get("provenance", {})), version)
+    return RawJobRecord(name, tau, tuple(skills), tuple(tasks))
 
 
 def record_to_spec(record: RawJobRecord, psi: str = "identity", divide: bool = True) -> JobSpec:
@@ -181,7 +176,6 @@ def record_to_spec(record: RawJobRecord, psi: str = "identity", divide: bool = T
         record.tau,
         skill_names=tuple(sk.name for sk in record.skills),
         task_names=tuple(t.name for t in record.tasks),
-        meta={"name": record.name, "divided": divide},
     )
 
 

@@ -10,7 +10,7 @@ per-skill weight vector (``effective_coefficients``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class JobSpec:
     tau: float
     skill_names: tuple[str, ...] | None = None
     task_names: tuple[str, ...] | None = None
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s1", _readonly(self.s1, "s1"))
@@ -135,7 +134,7 @@ class JobSpec:
 
     def with_tau(self, tau: float) -> "JobSpec":
         return JobSpec(self.s1, self.s2, self.tasks, self.w, self.v, float(tau),
-                       self.skill_names, self.task_names, dict(self.meta))
+                       self.skill_names, self.task_names)
 
 
 def _task_weight_matrix(spec: JobSpec, model: ErrorModel) -> np.ndarray:

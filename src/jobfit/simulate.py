@@ -896,10 +896,11 @@ def estimate_err_avg(worker: Worker, spec: JobSpec, model: ErrorModel,
 # --- parameter knobs -------------------------------------------------------
 
 # Each ability knob's stem (a1 and a2 share "a"): the base family whose
-# first parameter it sets, and that family's profile builder.
-ABILITY_KNOBS = {"a": (ability.LINEAR, ability.linear_profile),
-                 "c": (ability.CONSTANT, ability.constant_profile),
-                 "beta": (ability.POLYNOMIAL, ability.polynomial_profile)}
+# first parameter it sets, that family's profile builder, and the bracket
+# over which the parameter is bisected and a transition window is clipped.
+ABILITY_KNOBS = {"a": (ability.LINEAR, ability.linear_profile, (0.0, 1.0)),
+                 "c": (ability.CONSTANT, ability.constant_profile, (0.0, 1.0)),
+                 "beta": (ability.POLYNOMIAL, ability.polynomial_profile, (0.0, 8.0))}
 # The knobs apply_knob sets; tau is the job's threshold, not a worker's.
 KNOBS = (*(stem + level for stem in ABILITY_KNOBS for level in "12"), "sigma", "sigma1", "sigma2", "p")
 

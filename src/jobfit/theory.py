@@ -8,8 +8,9 @@ end on concrete job instances.
 Two dispersion conventions are exposed: ``paper-main`` uses the
 n * (sigma1^2 + sigma2^2) total valid for both noise families, while
 ``appendix-general`` sums per-subskill subgaussian bounds (four times
-tighter for scaled-uniform noise).  Reports are labelled with whichever
-was used.
+tighter for scaled-uniform noise).  The phase report records the
+convention it used; the merging check takes one without recording it, and
+the compression bound always takes paper-main.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ APPENDIX_GENERAL = "appendix-general"
 # The polynomial exponents over which min_derivative takes its infimum.
 POLY_DOMAIN = (0.5, 2.0)
 
-_FAMILY_KNOB = {family: stem for stem, (family, _) in ABILITY_KNOBS.items()}
-_PARAM_BRACKET = {ability.LINEAR: (0.0, 1.0), ability.CONSTANT: (0.0, 1.0),
-                  ability.POLYNOMIAL: (0.0, 8.0)}
+_FAMILY_KNOB = {family: stem for stem, (family, _, _) in ABILITY_KNOBS.items()}
+_PARAM_BRACKET = {family: bracket for family, _, bracket in ABILITY_KNOBS.values()}
 
 
 def family_param(profile: AbilityProfile) -> float:
@@ -70,29 +70,20 @@ def _vary_level(worker: Worker, vary: str) -> int:
     return knobs[vary]
 
 
-def subgaussian_bound(noise: NoiseModel) -> float:
-    """Per-subskill subgaussian constant: sigma^2/4 for scaled uniform
-    (range bound on a width <= sigma interval), sigma^2 for truncated normal."""
-    if noise.kind == UNIFORM:
-        return noise.sigma**2 / 4.0
-    return noise.sigma**2
+def dispersion(noise1: NoiseModel, noise2: NoiseModel, n: int, convention: str) -> float:
+    """Total dispersion bound over all 2n subskills.
 
-
-def max_dispersion(noise1: NoiseModel, noise2: NoiseModel, n: int) -> float:
-    """Total dispersion bound over all 2n subskills (appendix-general form)."""
-    return n * (subgaussian_bound(noise1) + subgaussian_bound(noise2))
-
-
-def paper_dispersion(sigma1: float, sigma2: float, n: int) -> float:
-    return n * (sigma1**2 + sigma2**2)
-
-
-def dispersion(noise1: NoiseModel, noise2: NoiseModel, n: int,
-               convention: str = PAPER_MAIN) -> float:
+    paper-main: n * (sigma1^2 + sigma2^2).  appendix-general: n times the
+    sum of the two levels' per-subskill subgaussian constants, sigma^2/4
+    for scaled uniform (range bound on a width <= sigma interval) and
+    sigma^2 for truncated normal.
+    """
     if convention == PAPER_MAIN:
-        return paper_dispersion(noise1.sigma, noise2.sigma, n)
+        return n * (noise1.sigma**2 + noise2.sigma**2)
     if convention == APPENDIX_GENERAL:
-        return max_dispersion(noise1, noise2, n)
+        bound1, bound2 = (noise.sigma**2 / 4.0 if noise.kind == UNIFORM else noise.sigma**2
+                          for noise in (noise1, noise2))
+        return n * (bound1 + bound2)
     raise ParameterError(f"unknown dispersion convention {convention!r}")
 
 
@@ -100,11 +91,11 @@ def min_derivative(spec: JobSpec, model: ErrorModel, family: str, level: int) ->
     """Minimum |d Err_avg / d parameter| over the parameter domain.
 
     Linear family: the derivative is constant, sum_j c_j * s_jl times the
-    h scale.  Constant family: sum_j c_j times the h scale.  Polynomial:
-    inf of sum_j c_j * beta * s^(beta-1) over beta in the fixed
-    :data:`POLY_DOMAIN` [0.5, 2], on a 401-point grid; the domain stays
-    clear of 0, where the infimum would collapse to zero (infinite
-    transition width).
+    h scale.  Constant family: sum_j c_j times the h scale.  Polynomial
+    (mean error s^beta): inf of sum_j c_j * s^beta * |ln s| times the h
+    scale over beta in the fixed :data:`POLY_DOMAIN` [0.5, 2].  Each term
+    falls as beta rises, so the infimum sits at beta = 2, where s = 0 and
+    s = 1 contribute nothing.
     """
     if level not in (1, 2):
         raise ParameterError(f"level must be 1 or 2, got {level}")
@@ -115,10 +106,8 @@ def min_derivative(spec: JobSpec, model: ErrorModel, family: str, level: int) ->
     if family == ability.CONSTANT:
         return float(coeff.sum())
     if family == ability.POLYNOMIAL:
-        betas = np.linspace(*POLY_DOMAIN, 401)
-        pos = s > 0.0
-        vals = [float(coeff[pos] @ (b * s[pos] ** (b - 1.0))) for b in betas]
-        return min(vals)
+        inner = (s > 0.0) & (s < 1.0)
+        return float(coeff[inner] @ (s[inner] ** POLY_DOMAIN[1] * -np.log(s[inner])))
     raise ParameterError(f"no sensitivity formula for family {family!r}")
 
 
@@ -149,6 +138,38 @@ def dependent_transition_width(L: float, max_disp: float, min_der: float,
 def _check_theta(theta: float) -> None:
     if not 0.0 < theta < 0.5:
         raise ParameterError(f"confidence level theta must lie in (0, 0.5), got {theta}")
+
+
+def _window(spec: JobSpec, model: ErrorModel, worker: Worker, level: int, theta: float,
+            convention: str, p: float) -> tuple[float, float, float, float]:
+    """The predicted transition window of one level of ``worker``:
+    (L, min_der, disp, gamma).  The dispersion pairs this level's noise with
+    the other level's; p > 0 takes the status-coupled width, p = 0 the
+    independent one."""
+    profile = worker.profile(level)
+    L = lipschitz_bound(spec, model)
+    min_der = min_derivative(spec, model, profile.family, level)
+    disp = dispersion(profile.noise, worker.profile(3 - level).noise, spec.n, convention)
+    if p > 0.0:
+        return L, min_der, disp, dependent_transition_width(L, disp, min_der, theta, p, spec.n)
+    return L, min_der, disp, transition_width(L, disp, min_der, theta)
+
+
+def _step(family: str, center: float, gamma: float, side: int) -> float:
+    """``center`` moved by gamma down (side -1) or up (side +1), clipped at
+    that end of the family's bracket."""
+    lo_b, hi_b = _PARAM_BRACKET[family]
+    return max(lo_b, center - gamma) if side < 0 else min(hi_b, center + gamma)
+
+
+def _err_at_edge(spec: JobSpec, model: ErrorModel, err_avg, worker: Worker, level: int,
+                 theta: float, convention: str, side: int) -> tuple[float, float]:
+    """The independent-width gamma of one level of ``worker``, and Err_avg
+    with that level's parameter stepped by gamma toward ``side``."""
+    gamma = _window(spec, model, worker, level, theta, convention, 0.0)[3]
+    profile = worker.profile(level)
+    value = _step(profile.family, family_param(profile), gamma, side)
+    return gamma, err_avg(apply_knob(worker, level_knob(profile, level), value))
 
 
 def _err_avg_fn(spec: JobSpec, model: ErrorModel, config: SimConfig | None):
@@ -228,19 +249,10 @@ def verify_phase_transition(
     _check_theta(theta)
     config = config or SimConfig()
     level = _vary_level(worker, vary)
-    profile = worker.profile(level)
+    family = worker.profile(level).family
     mu_c = critical_ability(spec, model, worker, vary, config)
-    L = lipschitz_bound(spec, model)
-    min_der = min_derivative(spec, model, profile.family, level)
-    other = worker.profile(3 - level)
-    disp = dispersion(profile.noise, other.noise, spec.n, convention)
-    if worker.p > 0.0:
-        gamma = dependent_transition_width(L, disp, min_der, theta, worker.p, spec.n)
-    else:
-        gamma = transition_width(L, disp, min_der, theta)
-    lo_b, hi_b = _PARAM_BRACKET[profile.family]
-    at_low = max(lo_b, mu_c - gamma) if math.isfinite(gamma) else lo_b
-    at_high = min(hi_b, mu_c + gamma) if math.isfinite(gamma) else hi_b
+    L, min_der, disp, gamma = _window(spec, model, worker, level, theta, convention, worker.p)
+    at_low, at_high = _step(family, mu_c, gamma, -1), _step(family, mu_c, gamma, 1)
     p_low, p_high = estimate_many([apply_knob(worker, vary, at_low), apply_knob(worker, vary, at_high)],
                                   spec, model, config)
     verified = (p_low.value <= theta + 3.0 * p_low.stderr) and (
@@ -287,27 +299,19 @@ def merging_condition(
                 f"level-{level} profiles must share a base family (got {f1!r} vs {f2!r}); "
                 "use merging.merge_per_subskill for distinct-family workers"
             )
-    knob = level_knob(worker1.alpha1, 1)
-    L = lipschitz_bound(spec, model)
-    gammas = {tag: transition_width(L, dispersion(w.alpha1.noise, worker2.alpha2.noise, spec.n, convention),
-                                    min_derivative(spec, model, w.alpha1.family, 1), theta)
-              for tag, w in (("1", worker1), ("2", worker2))}
     err_avg = _err_avg_fn(spec, model, config)
-    mu1_1 = family_param(worker1.alpha1)
-    mu1_2 = family_param(worker2.alpha1)
-    lo_b, hi_b = _PARAM_BRACKET[worker1.alpha1.family]
-    left_w = apply_knob(Worker(worker1.alpha1, worker2.alpha2), knob, max(lo_b, mu1_1 - gammas["1"]))
-    right_w = apply_knob(Worker(worker2.alpha1, worker2.alpha2), knob, min(hi_b, mu1_2 + gammas["2"]))
-    err_left = err_avg(left_w)
-    err_right = err_avg(right_w)
-    holds = err_left <= spec.tau <= err_right and all(math.isfinite(g) for g in gammas.values())
+    gamma1, err_left = _err_at_edge(spec, model, err_avg, Worker(worker1.alpha1, worker2.alpha2), 1,
+                                    theta, convention, -1)
+    gamma2, err_right = _err_at_edge(spec, model, err_avg, Worker(worker2.alpha1, worker2.alpha2), 1,
+                                     theta, convention, 1)
+    holds = err_left <= spec.tau <= err_right and math.isfinite(gamma1) and math.isfinite(gamma2)
 
     workers = (worker1, worker2, merging.merge_uniform(worker1, worker2, ("A", "B")),
                merging.merge_uniform(worker1, worker2, ("B", "A")))
     estimates = dict(zip(("p1", "p2", "p12", "p21"), estimate_many(workers, spec, model, config)))
     delta = max(e.value for e in estimates.values()) - max(estimates["p1"].value, estimates["p2"].value)
     return MergeReport(
-        gammas["1"], gammas["2"], err_left, err_right, holds,
+        gamma1, gamma2, err_left, err_right, holds,
         (1.0 - 2.0 * theta) if holds else None, theta,
         estimates["p1"], estimates["p2"], estimates["p12"], estimates["p21"], delta,
     )
@@ -363,24 +367,16 @@ def compression_bound(
     guaranteed = None
     holds = False
     if not notes and same_action_family:
-        L = lipschitz_bound(spec, model)
         err_avg = _err_avg_fn(spec, model, config)
-        sigma1 = worker_low.alpha1.noise
 
-        def gamma2(w: Worker) -> float:
-            md = min_derivative(spec, model, w.alpha2.family, 2)
-            return transition_width(L, dispersion(w.alpha2.noise, sigma1, spec.n), md, theta)
+        def edge(w: Worker, side: int) -> tuple[float, float]:
+            return _err_at_edge(spec, model, err_avg, Worker(worker_low.alpha1, w.alpha2), 2,
+                                theta, PAPER_MAIN, side)
 
-        g_low, g_high, g_ai = gamma2(worker_low), gamma2(worker_high), gamma2(worker_ai)
-        lo_b, hi_b = _PARAM_BRACKET[worker_low.alpha2.family]
-
-        def err_at(w: Worker, value: float) -> float:
-            return err_avg(apply_knob(Worker(worker_low.alpha1, w.alpha2), level_knob(w.alpha2, 2), value))
-
-        left = max(err_at(worker_ai, max(lo_b, family_param(worker_ai.alpha2) - g_ai)),
-                   err_at(worker_high, max(lo_b, family_param(worker_high.alpha2) - g_high)))
-        right = err_at(worker_low, min(hi_b, family_param(worker_low.alpha2) + g_low))
-        holds = left <= spec.tau <= right and all(map(math.isfinite, (g_low, g_high, g_ai)))
+        g_ai, e_ai = edge(worker_ai, -1)
+        g_high, e_high = edge(worker_high, -1)
+        g_low, right = edge(worker_low, 1)
+        holds = max(e_ai, e_high) <= spec.tau <= right and all(map(math.isfinite, (g_low, g_high, g_ai)))
         guaranteed = (1.0 - 2.0 * theta) if holds else None
     elif not same_action_family:
         notes.append("action-level families differ; analytic bound skipped")

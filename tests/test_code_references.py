@@ -152,3 +152,15 @@ def test_only_the_block_walk_draws_uniforms():
             if _names(node)["_chunk_uniforms"]:
                 mentions.append(f"{path.name} {getattr(node, 'name', type(node).__name__)}")
     assert mentions == ["simulate.py _drawn_blocks"]
+
+
+def test_only_the_window_rule_takes_a_transition_width():
+    # The phase check and the merging and compression sandwiches read
+    # gamma from one rule, so their windows cannot drift apart.
+    mentions = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _names(node)
+            if names["transition_width"] or names["dependent_transition_width"]:
+                mentions.append(f"{path.name} {getattr(node, 'name', type(node).__name__)}")
+    assert mentions == ["theory.py _window"]

@@ -6,6 +6,7 @@ import pytest
 from jobfit.ability import (
     constant_profile,
     linear_profile,
+    polynomial_profile,
     truncnorm_noise,
     uniform_noise,
 )
@@ -16,17 +17,19 @@ from jobfit.errors import (
     UndefinedThresholdError,
 )
 from jobfit.job import ErrorModel, JobSpec, balanced_job
-from jobfit.simulate import SimConfig, Worker, brute_force_success_probability
+from jobfit.simulate import SimConfig, Worker, apply_knob, brute_force_success_probability, exact_err_avg
 from jobfit import theory
 from jobfit.theory import (
+    APPENDIX_GENERAL,
+    PAPER_MAIN,
+    POLY_DOMAIN,
     bias_misclassification_rate,
     compression_bound,
     critical_ability,
     dependent_transition_width,
-    max_dispersion,
+    dispersion,
     merging_condition,
     min_derivative,
-    paper_dispersion,
     transition_width,
     verify_phase_transition,
 )
@@ -116,14 +119,30 @@ def test_min_derivative_families():
     assert poly > 0.0
 
 
+def test_polynomial_slope_is_the_smallest_slope_of_err_avg_in_beta():
+    # The sensitivity is |d Err_avg / d beta|, the slope along the knob
+    # itself, not the derivative of the mean in s.
+    rng = np.random.default_rng(1)
+    spec = balanced_job(20, 20, 4, rng.uniform(size=20), rng.uniform(size=20), 0.25)
+    worker = Worker(polynomial_profile(1.0, uniform_noise(0.0)), linear_profile(0.5, uniform_noise(0.0)))
+    step = 1e-5
+
+    def err(beta):
+        return exact_err_avg(apply_knob(worker, "beta1", beta), spec, AVG)
+
+    slopes = [(err(b - step) - err(b + step)) / (2 * step) for b in np.linspace(*POLY_DOMAIN, 16)]
+    assert min(slopes) > 0.0
+    assert min_derivative(spec, AVG, "polynomial", 1) == pytest.approx(min(slopes), rel=1e-6)
+
+
 def test_max_dispersion_examples():
     n = 20
     u = uniform_noise(0.3)
     t = truncnorm_noise(0.3)
-    assert max_dispersion(u, u, n) == pytest.approx(n * 0.3**2 / 2)
-    assert max_dispersion(t, t, n) == pytest.approx(2 * n * 0.3**2)
-    assert max_dispersion(uniform_noise(0.0), truncnorm_noise(0.0), n) == 0.0
-    assert paper_dispersion(0.1, 0.2, n) == pytest.approx(n * 0.05)
+    assert dispersion(u, u, n, APPENDIX_GENERAL) == pytest.approx(n * 0.3**2 / 2)
+    assert dispersion(t, t, n, APPENDIX_GENERAL) == pytest.approx(2 * n * 0.3**2)
+    assert dispersion(uniform_noise(0.0), truncnorm_noise(0.0), n, APPENDIX_GENERAL) == 0.0
+    assert dispersion(uniform_noise(0.1), uniform_noise(0.2), n, PAPER_MAIN) == pytest.approx(n * 0.05)
 
 
 def test_gamma_scaling_ratios():
@@ -131,7 +150,7 @@ def test_gamma_scaling_ratios():
     def gamma(n, sigma):
         L = 1.0 / (2 * n)
         md = 0.25
-        return transition_width(L, paper_dispersion(sigma, sigma, n), md, 0.1)
+        return transition_width(L, dispersion(uniform_noise(sigma), uniform_noise(sigma), n, PAPER_MAIN), md, 0.1)
 
     assert gamma(20, 0.1) / gamma(20, 0.05) == pytest.approx(2.0)
     assert gamma(20, 0.2) / gamma(20, 0.1) == pytest.approx(2.0)
